@@ -477,6 +477,16 @@ impl BatchGemm {
         I::Item: Into<GemmRequest>,
     {
         let requests: Vec<GemmRequest> = requests.into_iter().map(Into::into).collect();
+        self.execute_verified_slice(device, &requests)
+    }
+
+    /// [`BatchGemm::execute_verified`] over borrowed requests: the caller
+    /// keeps the operands (for a retry, say) without copying them in.
+    pub fn execute_verified_slice(
+        &self,
+        device: &Device,
+        requests: &[GemmRequest],
+    ) -> Vec<Result<HealedOutcome, AbftError>> {
         if requests.is_empty() {
             return Vec::new();
         }

@@ -35,6 +35,7 @@ use aabft_core::batch::{BatchGemm, GemmRequest, ProtectionPolicy};
 use aabft_core::error::AbftError;
 use aabft_core::AAbftGemm;
 use aabft_gpu_sim::device::Device;
+use aabft_matrix::Matrix;
 use aabft_obs::Obs;
 
 use crate::breaker::{Admission, BreakerConfig, CircuitBreaker};
@@ -531,7 +532,7 @@ fn thread_runtime_s() -> Option<f64> {
 fn run_wave(
     shared: &Shared,
     idx: usize,
-    batch: Vec<Pending>,
+    mut batch: Vec<Pending>,
     cost: f64,
     modelled: f64,
     stolen: bool,
@@ -565,27 +566,39 @@ fn run_wave(
 
     let effective: Vec<ProtectionPolicy> =
         batch.iter().map(|p| shared.ladder.apply(p.policy, level)).collect();
+    // Move the operands into the requests rather than copy them: a 256³
+    // pair is 1 MB, and under a burst both dispatchers' allocators would
+    // each have to hold a wave's worth of copies. A failed request gets
+    // its operands back for the retry.
     let requests: Vec<GemmRequest> = batch
-        .iter()
+        .iter_mut()
         .zip(&effective)
-        .map(|(p, &policy)| GemmRequest::new(p.a.clone(), p.b.clone()).with_policy(policy))
+        .map(|(p, &policy)| {
+            let a = std::mem::replace(&mut p.a, Matrix::zeros(1, 1));
+            let b = std::mem::replace(&mut p.b, Matrix::zeros(1, 1));
+            GemmRequest::new(a, b).with_policy(policy)
+        })
         .collect();
     let cpu_started = thread_runtime_s();
+    let helpers_started = rayon::helper_cpu_time();
     let started = Instant::now();
-    let results = shared.engine.execute_verified(&replica.device, requests);
+    let results = shared.engine.execute_verified_slice(&replica.device, &requests);
     let busy = started.elapsed();
     // Close the cost loop: this wave's measured latency against its
     // pure-model price becomes one calibration sample for (replica,
     // shape class), exported as a ratio gauge. The sample wants the
     // wave's *device occupancy*, and on a host-simulated device that is
-    // the dispatcher thread's CPU time, not its wall: when several
+    // the CPU time the whole wave took, not its wall: when several
     // dispatchers share cores, wall charges this replica for time the
     // scheduler gave its peers, inflating every concurrent measurement
     // alike and compressing the very ratios calibration exists to
-    // expose. Wall is the fallback where the kernel doesn't account
-    // per-thread runtime.
+    // expose. The dispatcher runs only its own share of each multi-block
+    // launch; the rayon pool's helpers run the rest and credit their CPU
+    // time to this thread, so the sample adds theirs to its own. Wall is
+    // the fallback where the kernel doesn't account per-thread runtime.
+    let helper_busy = (rayon::helper_cpu_time() - helpers_started).as_secs_f64();
     let cpu_busy = match (cpu_started, thread_runtime_s()) {
-        (Some(before), Some(after)) if after > before => after - before,
+        (Some(before), Some(after)) if after > before => after - before + helper_busy,
         _ => busy.as_secs_f64(),
     };
     // The host also serializes work the simulated device would spread
@@ -615,7 +628,7 @@ fn run_wave(
     let _ = replica.device.take_log();
 
     let now = Instant::now();
-    for (pending, result) in batch.into_iter().zip(results) {
+    for ((pending, result), request) in batch.into_iter().zip(results).zip(requests) {
         match result {
             Ok(healed) => {
                 replica.breaker.record_success();
@@ -652,6 +665,8 @@ fn run_wave(
                     metrics.counter_inc("serve.breaker_trips");
                 }
                 let mut pending = pending;
+                pending.a = request.a;
+                pending.b = request.b;
                 if pending.retries < shared.cfg.max_retries {
                     pending.retries += 1;
                     let backoff = shared.cfg.retry_backoff * 2u32.pow(pending.retries - 1);

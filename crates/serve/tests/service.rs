@@ -140,6 +140,7 @@ fn unrecovered_request_retries_and_completes() {
         after_phase: "gemm",
     });
     let (a, b) = operands(3);
+    let clean = gemm.multiply(&aabft_gpu_sim::Device::with_defaults(), &a, &b).product;
     let req = ServeRequest::new(a, b)
         .with_policy(ProtectionPolicy::SelfHealing { budget: 0 })
         .with_class(DeadlineClass::Unbounded);
@@ -150,6 +151,7 @@ fn unrecovered_request_retries_and_completes() {
         ServeOutcome::Completed(c) => {
             assert_eq!(c.retries, 1, "first try hit the fault, the retry ran clean");
             assert_eq!(c.attempts, 0, "the clean retry needed no healing");
+            assert!(c.product == clean, "the retry multiplies the request's own operands");
         }
         other => panic!("the retry must complete, got {other:?}"),
     }

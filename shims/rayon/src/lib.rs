@@ -2,12 +2,30 @@
 //!
 //! The workspace uses `(range).into_par_iter().map(f).collect()` plus the
 //! `ThreadPoolBuilder`/`ThreadPool::install` sizing API, so that is what
-//! this crate provides: a data-parallel map over an index range, executed
-//! on std scoped threads claiming *chunks* of indices from a shared atomic
-//! cursor (dynamic load balancing, like rayon's work stealing at this
-//! grain, without a cache-line bounce per item now that clean-path blocks
-//! are cheap). Results are returned in input order, so callers observe
-//! rayon's exact semantics.
+//! this crate provides: a data-parallel map over an index range. The
+//! calling thread and helpers from a process-wide pool of persistent
+//! worker threads claim *chunks* of indices from a shared atomic cursor
+//! (dynamic load balancing, like rayon's work stealing at this grain,
+//! without a cache-line bounce per item). Results are returned in input
+//! order, so callers observe rayon's exact semantics.
+//!
+//! How a par call with `w` workers runs:
+//!
+//! - The pool grows lazily to the largest `w - 1` ever requested; the
+//!   caller is the remaining worker. Idle helpers park on a condition
+//!   variable and never spin, so a call costs a wake-up, not a thread
+//!   spawn and join.
+//! - The call posts its job, wakes `w - 1` helpers and runs its own share
+//!   of the chunks. A helper that arrives after the cursor ran out leaves
+//!   at once. The caller returns only after every helper that joined has
+//!   left, because helpers borrow its stack.
+//! - A panic in any item stops further claims and reaches the caller with
+//!   its original payload, after every helper has left.
+//! - The caller always works on its own job, so concurrent callers make
+//!   progress even while every helper is busy elsewhere.
+//! - The CPU time helpers spend on a call is credited to the calling
+//!   thread ([`helper_cpu_time`]), so the caller can account the whole
+//!   of the work it issued, not just its own share.
 //!
 //! Worker-count resolution, highest priority first:
 //!
@@ -21,13 +39,19 @@
 //! meaningful on small containers.
 //!
 //! Nested parallelism is flattened rather than compounded: a par call
-//! issued from inside a worker thread runs serially on that worker. The
-//! outermost parallel level (e.g. `BatchGemm` dispatching whole requests)
-//! therefore owns the thread budget, and inner levels (per-block kernel
-//! loops) degrade to plain loops instead of exploding the thread count.
+//! issued from a pool thread, or from the caller while it runs its own
+//! share, runs serially on that thread. The outermost parallel level (e.g.
+//! `BatchGemm` dispatching whole requests) therefore owns the thread
+//! budget, and inner levels (per-block kernel loops) degrade to plain
+//! loops instead of exploding the thread count.
 
+use std::any::Any;
 use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::collections::VecDeque;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::Duration;
 
 /// Everything callers need: `use rayon::prelude::*;`.
 pub mod prelude {
@@ -116,9 +140,11 @@ thread_local! {
     /// Worker-count override installed on this thread by
     /// [`ThreadPool::install`] (0 = none).
     static INSTALLED_THREADS: Cell<usize> = const { Cell::new(0) };
-    /// Set on pool worker threads: par calls from inside a worker run
-    /// serially instead of spawning a second tier of threads.
+    /// Set on pool helpers, and on a caller while it runs its own share:
+    /// par calls from there run serially instead of fanning out again.
     static IN_WORKER: Cell<bool> = const { Cell::new(false) };
+    /// CPU nanoseconds pool helpers have spent on this thread's par calls.
+    static HELPER_CPU_NS: Cell<u64> = const { Cell::new(0) };
 }
 
 /// The hardware/environment default worker count (resolution steps 3–4).
@@ -197,8 +223,10 @@ impl ThreadPoolBuilder {
     }
 }
 
-/// A sized worker pool. This shim spawns scoped threads per par call
-/// rather than keeping workers alive, so the pool is just a sizing scope.
+/// A worker-count scope over the process-wide helper pool. Every
+/// `ThreadPool` shares the same persistent helper threads; the handle only
+/// fixes how many workers (caller included) a par call under
+/// [`ThreadPool::install`] uses, and the shared pool grows to match.
 #[derive(Debug)]
 pub struct ThreadPool {
     num_threads: usize,
@@ -217,6 +245,184 @@ impl ThreadPool {
         let out = op();
         INSTALLED_THREADS.with(|c| c.set(prev));
         out
+    }
+}
+
+/// Total CPU time pool helpers have spent running par calls issued from
+/// the current thread, over the thread's lifetime. Not part of rayon's
+/// API: callers that price their own CPU time read it before and after a
+/// piece of work and add the difference, so the helpers' share of that
+/// work is counted too. Falls back to helper wall time off Linux.
+pub fn helper_cpu_time() -> Duration {
+    Duration::from_nanos(HELPER_CPU_NS.with(|c| c.get()))
+}
+
+/// The current thread's CPU time in nanoseconds.
+#[cfg(target_os = "linux")]
+fn thread_cpu_ns() -> u64 {
+    use std::ffi::{c_int, c_long};
+    #[repr(C)]
+    struct Timespec {
+        tv_sec: c_long,
+        tv_nsec: c_long,
+    }
+    extern "C" {
+        fn clock_gettime(clock: c_int, ts: *mut Timespec) -> c_int;
+    }
+    const CLOCK_THREAD_CPUTIME_ID: c_int = 3;
+    let mut ts = Timespec { tv_sec: 0, tv_nsec: 0 };
+    // SAFETY: `ts` is a valid, writable timespec for the duration of the
+    // call, and the clock id is a constant the kernel always supports.
+    unsafe { clock_gettime(CLOCK_THREAD_CPUTIME_ID, &mut ts) };
+    ts.tv_sec as u64 * 1_000_000_000 + ts.tv_nsec as u64
+}
+
+/// Wall-clock stand-in where per-thread CPU time is not wired up.
+#[cfg(not(target_os = "linux"))]
+fn thread_cpu_ns() -> u64 {
+    use std::sync::OnceLock;
+    use std::time::Instant;
+    static EPOCH: OnceLock<Instant> = OnceLock::new();
+    EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
+}
+
+/// One par call as the pool sees it. It lives on the caller's stack; the
+/// caller keeps it alive until every helper that joined has left.
+struct Job<'a> {
+    /// Claims and runs chunks until the cursor runs out; never unwinds.
+    share: &'a (dyn Fn() + Sync),
+    /// Helpers currently inside `share`. Only changed and read under the
+    /// pool lock, which also orders each helper's slot writes before the
+    /// caller reads the results, so `Relaxed` suffices.
+    active: AtomicUsize,
+    /// CPU nanoseconds helpers spent inside `share`; added before a
+    /// helper takes the pool lock to leave, read after the caller saw
+    /// `active` reach zero under it.
+    helper_ns: AtomicU64,
+    /// Signalled (under the pool lock) when `active` drops to zero.
+    drained: Condvar,
+}
+
+/// A job pointer with its lifetime erased, so the static queue can hold
+/// it. Only dereferenced while the job is provably alive: it is reachable
+/// through the queue, or a helper is counted in its `active`.
+#[derive(Clone, Copy, PartialEq)]
+struct JobRef(*const Job<'static>);
+
+// SAFETY: a `Job` is `Sync`, and the pointer is only dereferenced under
+// the liveness protocol documented on `JobRef`.
+unsafe impl Send for JobRef {}
+
+/// A posted job with the helper slots it still offers.
+struct Posted {
+    job: JobRef,
+    open: usize,
+}
+
+struct PoolState {
+    /// Helper threads spawned so far (they never exit).
+    helpers: usize,
+    /// Jobs still open to helpers, oldest first.
+    queue: VecDeque<Posted>,
+}
+
+/// The process-wide helper pool.
+struct Pool {
+    state: Mutex<PoolState>,
+    /// Idle helpers park here until a job is posted.
+    work_ready: Condvar,
+}
+
+static POOL: Pool = Pool {
+    state: Mutex::new(PoolState { helpers: 0, queue: VecDeque::new() }),
+    work_ready: Condvar::new(),
+};
+
+impl Pool {
+    fn lock(&self) -> MutexGuard<'_, PoolState> {
+        // Nothing unwinds while holding the lock (shares catch their own
+        // panics), so poisoning carries no information here.
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Runs `share` on the calling thread and on up to `helpers` pool
+    /// threads, returning once the caller's share is done and every
+    /// helper that joined has left.
+    fn run(&'static self, helpers: usize, share: &(dyn Fn() + Sync)) {
+        let job = Job {
+            share,
+            active: AtomicUsize::new(0),
+            helper_ns: AtomicU64::new(0),
+            drained: Condvar::new(),
+        };
+        let job_ref = JobRef((&job as *const Job<'_>).cast());
+        {
+            let mut state = self.lock();
+            while state.helpers < helpers {
+                let id = state.helpers;
+                // Helpers live for the rest of the process and never
+                // unwind (shares catch their panics), so none is joined.
+                std::thread::Builder::new()
+                    .name(format!("rayon-shim-{id}"))
+                    .spawn(move || self.helper_loop())
+                    .expect("spawn pool helper");
+                state.helpers += 1;
+            }
+            state.queue.push_back(Posted { job: job_ref, open: helpers });
+        }
+        for _ in 0..helpers {
+            self.work_ready.notify_one();
+        }
+
+        let nested = IN_WORKER.with(|w| w.replace(true));
+        share();
+        IN_WORKER.with(|w| w.set(nested));
+
+        // Close the job to late helpers, then wait out the ones inside it.
+        let mut state = self.lock();
+        if let Some(pos) = state.queue.iter().position(|p| p.job == job_ref) {
+            state.queue.remove(pos);
+        }
+        while job.active.load(Ordering::Relaxed) > 0 {
+            state = job.drained.wait(state).unwrap_or_else(PoisonError::into_inner);
+        }
+        drop(state);
+        let credited = job.helper_ns.load(Ordering::Relaxed);
+        HELPER_CPU_NS.with(|c| c.set(c.get() + credited));
+    }
+
+    /// A helper's life: park until a job is posted, join it, repeat.
+    fn helper_loop(&'static self) {
+        IN_WORKER.with(|w| w.set(true));
+        let mut state = self.lock();
+        loop {
+            let Some(front) = state.queue.front_mut() else {
+                state = self.work_ready.wait(state).unwrap_or_else(PoisonError::into_inner);
+                continue;
+            };
+            let job_ref = front.job;
+            front.open -= 1;
+            if front.open == 0 {
+                state.queue.pop_front();
+            }
+            // SAFETY: the job was reachable through the queue under the
+            // lock, and counting this helper in `active` before releasing
+            // the lock keeps its caller waiting until we decrement again.
+            let job = unsafe { &*job_ref.0 };
+            job.active.fetch_add(1, Ordering::Relaxed);
+            drop(state);
+
+            let started = thread_cpu_ns();
+            (job.share)();
+            job.helper_ns.fetch_add(thread_cpu_ns().saturating_sub(started), Ordering::Relaxed);
+
+            state = self.lock();
+            if job.active.fetch_sub(1, Ordering::Relaxed) == 1 {
+                // Notify under the lock: once it is released the caller
+                // may return and free `job`.
+                job.drained.notify_one();
+            }
+        }
     }
 }
 
@@ -246,32 +452,46 @@ where
     // from the shared cursor; the raw-pointer writes are safe because every
     // index is claimed exactly once.
     struct SlotsPtr<R>(*mut Option<R>);
+    // SAFETY: workers only write through the pointer, each to slots no
+    // other worker touches, and `R: Send` lets a value made on one thread
+    // be dropped or read on another.
     unsafe impl<R: Send> Sync for SlotsPtr<R> {}
-    let slots_ptr = SlotsPtr(slots.as_mut_ptr());
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let cursor = &cursor;
-            let slots_ptr = &slots_ptr;
-            scope.spawn(move || {
-                IN_WORKER.with(|w| w.set(true));
-                loop {
-                    let chunk = cursor.fetch_add(grain, Ordering::Relaxed);
-                    if chunk >= len {
-                        break;
-                    }
-                    for i in chunk..(chunk + grain).min(len) {
-                        let value = f(start + i);
-                        // SAFETY: chunks come from a fetch_add of `grain`,
-                        // so no two workers ever claim the same slot, and
-                        // `slots` outlives the scope.
-                        unsafe { *slots_ptr.0.add(i) = Some(value) };
-                    }
-                }
-            });
+    impl<R> SlotsPtr<R> {
+        /// # Safety
+        ///
+        /// `i` is in bounds, and no other worker reads or writes slot `i`.
+        unsafe fn write(&self, i: usize, value: R) {
+            *self.0.add(i) = Some(value);
         }
-    });
+    }
+    let slots_ptr = SlotsPtr(slots.as_mut_ptr());
+    let panicked: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
 
+    let share = || {
+        let claimed = panic::catch_unwind(AssertUnwindSafe(|| loop {
+            let chunk = cursor.fetch_add(grain, Ordering::Relaxed);
+            if chunk >= len {
+                break;
+            }
+            for i in chunk..(chunk + grain).min(len) {
+                let value = f(start + i);
+                // SAFETY: chunks come from a fetch_add of `grain`, so no
+                // two workers ever claim the same slot, and `slots`
+                // outlives every worker's share.
+                unsafe { slots_ptr.write(i, value) };
+            }
+        }));
+        if let Err(payload) = claimed {
+            // Stop further claims; keep the first payload.
+            cursor.store(len, Ordering::Relaxed);
+            panicked.lock().unwrap_or_else(PoisonError::into_inner).get_or_insert(payload);
+        }
+    };
+    POOL.run(workers - 1, &share);
+
+    if let Some(payload) = panicked.into_inner().unwrap_or_else(PoisonError::into_inner) {
+        panic::resume_unwind(payload);
+    }
     slots.into_iter().map(|s| s.expect("every slot filled")).collect()
 }
 
@@ -329,28 +549,91 @@ mod tests {
     #[test]
     fn install_overrides_worker_count_even_past_hardware() {
         use std::collections::HashSet;
-        use std::sync::Mutex;
+        use std::sync::{Barrier, Mutex};
         let pool = ThreadPoolBuilder::new().num_threads(4).build().unwrap();
         assert_eq!(pool.current_num_threads(), 4);
+        // Four items that each wait for all four can only finish if four
+        // threads really run at once, whatever the hardware count.
+        let barrier = Barrier::new(4);
         let seen = Mutex::new(HashSet::new());
         let v: Vec<usize> = pool.install(|| {
             assert_eq!(current_num_threads(), 4);
-            (0..256)
+            (0..4)
                 .into_par_iter()
                 .map(|i| {
                     seen.lock().unwrap().insert(std::thread::current().id());
+                    barrier.wait();
                     i
                 })
                 .collect()
         });
-        assert_eq!(v, (0..256).collect::<Vec<_>>());
-        // Work runs on spawned workers (not the calling thread); how many
-        // of the four get a chunk depends on scheduling, so only bound it.
+        assert_eq!(v, vec![0, 1, 2, 3]);
         let seen = seen.lock().unwrap();
-        assert!(!seen.contains(&std::thread::current().id()));
-        assert!((1..=4).contains(&seen.len()), "worker threads: {}", seen.len());
+        assert_eq!(seen.len(), 4, "worker threads: {}", seen.len());
         // The override does not leak past the install scope.
         assert!(INSTALLED_THREADS.with(|c| c.get()) == 0);
+    }
+
+    #[test]
+    fn panic_reaches_the_caller_with_its_payload_and_the_pool_survives() {
+        let pool = ThreadPoolBuilder::new().num_threads(2).build().unwrap();
+        let caught = pool.install(|| {
+            panic::catch_unwind(|| {
+                (0..64)
+                    .into_par_iter()
+                    .map(|i| {
+                        if i == 37 {
+                            panic::panic_any(0xdead_u32);
+                        }
+                        i
+                    })
+                    .collect::<Vec<usize>>()
+            })
+        });
+        let payload = caught.expect_err("the item's panic must reach the caller");
+        assert_eq!(payload.downcast_ref::<u32>(), Some(&0xdead));
+        let v: Vec<usize> = pool.install(|| (0..64).into_par_iter().map(|i| i + 1).collect());
+        assert_eq!(v, (1..65).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn concurrent_callers_each_get_their_own_ordered_results() {
+        let pool = ThreadPoolBuilder::new().num_threads(2).build().unwrap();
+        std::thread::scope(|s| {
+            for t in 0..4usize {
+                let pool = &pool;
+                s.spawn(move || {
+                    pool.install(|| {
+                        for call in 0..500usize {
+                            let len = 1 + (call * 7 + t) % 48;
+                            let v: Vec<usize> =
+                                (0..len).into_par_iter().map(|i| i * 4 + t).collect();
+                            assert_eq!(v, (0..len).map(|i| i * 4 + t).collect::<Vec<_>>());
+                        }
+                    })
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn helper_cpu_time_is_credited_to_the_caller() {
+        use std::sync::Barrier;
+        let pool = ThreadPoolBuilder::new().num_threads(2).build().unwrap();
+        // The barrier makes a helper run one of the two items, and the
+        // spin gives that item CPU time worth crediting.
+        let barrier = Barrier::new(2);
+        let item = |_| {
+            barrier.wait();
+            (0..200_000u64).fold(0u64, |acc, x| acc.wrapping_add(std::hint::black_box(x)))
+        };
+        let before = helper_cpu_time();
+        let _: Vec<u64> = pool.install(|| (0..2).into_par_iter().map(item).collect());
+        assert!(helper_cpu_time() > before, "the helper's item must be credited");
+        // A serial call has no helpers to credit.
+        let serial = helper_cpu_time();
+        let _: Vec<u64> = (0..1).into_par_iter().map(|i| i as u64).collect();
+        assert_eq!(helper_cpu_time(), serial);
     }
 
     #[test]
