@@ -8,11 +8,6 @@ use aabft_core::{AAbftGemm, AAbftOutcome, AbftError, RecoveryAction, SelfHealing
 use aabft_gpu_sim::ExecCtx;
 use aabft_matrix::Matrix;
 
-/// Historical name of the A-ABFT scheme adapter. The wrapper type is gone:
-/// [`AAbftGemm`] implements [`ProtectedGemm`] itself, and this alias keeps
-/// `AAbftScheme::new(config)` call sites compiling.
-pub type AAbftScheme = AAbftGemm;
-
 impl From<AAbftOutcome> for ProtectedResult {
     fn from(outcome: AAbftOutcome) -> Self {
         let errors_detected = outcome.report.errors_detected();
@@ -102,10 +97,10 @@ mod tests {
     }
 
     #[test]
-    fn alias_keeps_old_call_sites_compiling() {
+    fn staged_outcome_converts_into_a_protected_result() {
         let a: Matrix = Matrix::from_fn(8, 8, |i, j| ((i + j) as f64 * 0.41).sin());
         let b: Matrix = Matrix::from_fn(8, 8, |i, j| ((i * 3 + j) as f64 * 0.27).cos());
-        let scheme = AAbftScheme::new(config());
+        let scheme = AAbftGemm::new(config());
         let outcome = scheme.execute(&ExecCtx::new(&Device::with_defaults()), &a, &b).unwrap();
         let r: ProtectedResult = outcome.into();
         assert!(!r.errors_detected);

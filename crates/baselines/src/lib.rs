@@ -7,9 +7,8 @@
 //!   analysis \[28\] (autonomous, but loose bounds and poor GPU utilization);
 //! * [`TmrGemm`] — triple modular redundancy with direct comparison;
 //! * [`UnprotectedGemm`] — the raw-throughput reference;
-//! * [`AAbftScheme`] — the A-ABFT operator from `aabft-core`, which
-//!   implements [`ProtectedGemm`] directly (the name is an alias of
-//!   `AAbftGemm`).
+//! * [`AAbftGemm`](aabft_core::AAbftGemm) — the A-ABFT operator from
+//!   `aabft-core`, which implements [`ProtectedGemm`] directly.
 //!
 //! Every scheme's required entry point is
 //! [`ProtectedGemm::multiply_on`], which takes an
@@ -47,7 +46,6 @@ pub mod sea;
 pub mod tmr;
 pub mod unprotected;
 
-pub use aabft_scheme::AAbftScheme;
 pub use batch::run_batch;
 pub use fixed::FixedBoundAbft;
 pub use scheme::{ProtectedGemm, ProtectedResult};

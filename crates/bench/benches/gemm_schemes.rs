@@ -2,10 +2,8 @@
 //! functional simulator (Table I's real-time counterpart at CPU-feasible
 //! sizes — the shape across schemes mirrors the modelled table).
 
-use aabft_baselines::{
-    AAbftScheme, FixedBoundAbft, ProtectedGemm, SeaAbft, TmrGemm, UnprotectedGemm,
-};
-use aabft_core::AAbftConfig;
+use aabft_baselines::{FixedBoundAbft, ProtectedGemm, SeaAbft, TmrGemm, UnprotectedGemm};
+use aabft_core::{AAbftConfig, AAbftGemm};
 use aabft_gpu_sim::device::Device;
 use aabft_gpu_sim::kernels::gemm::GemmTiling;
 use aabft_matrix::gen::InputClass;
@@ -28,7 +26,7 @@ fn bench_schemes(c: &mut Criterion) {
             ("abft_fixed", Box::new(FixedBoundAbft::new(1e-9, bs).with_tiling(tiling))),
             (
                 "aabft",
-                Box::new(AAbftScheme::new(
+                Box::new(AAbftGemm::new(
                     AAbftConfig::builder().block_size(bs).tiling(tiling).build().expect("valid config"),
                 )),
             ),

@@ -8,9 +8,9 @@
 //! cargo run --release -p aabft-bench --bin ablation_bitpos -- --n 96 --trials 120
 //! ```
 
-use aabft_baselines::{AAbftScheme, SeaAbft};
+use aabft_baselines::SeaAbft;
 use aabft_bench::args::Args;
-use aabft_core::AAbftConfig;
+use aabft_core::{AAbftConfig, AAbftGemm};
 use aabft_faults::campaign::{run_campaign, CampaignConfig};
 use aabft_faults::plan::{FaultSpec, InjectScope};
 use aabft_gpu_sim::inject::FaultSite;
@@ -43,7 +43,7 @@ fn main() {
             scope: InjectScope::GemmSites,
         };
         let aabft =
-            AAbftScheme::new(AAbftConfig::builder().block_size(bs).tiling(tiling).build().expect("valid config"));
+            AAbftGemm::new(AAbftConfig::builder().block_size(bs).tiling(tiling).build().expect("valid config"));
         let ra = run_campaign(&aabft, &config);
         let sea = SeaAbft::new(bs).with_tiling(tiling);
         let rs = run_campaign(&sea, &config);

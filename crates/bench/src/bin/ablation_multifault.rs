@@ -8,10 +8,9 @@
 //! cargo run --release -p aabft-bench --bin ablation_multifault -- --n 96 --trials 120
 //! ```
 
-use aabft_baselines::AAbftScheme;
 use aabft_bench::args::Args;
 use aabft_core::recover::RecoveryPolicy;
-use aabft_core::AAbftConfig;
+use aabft_core::{AAbftConfig, AAbftGemm};
 use aabft_faults::bitflip::BitRegion;
 use aabft_faults::campaign::{run_campaign, CampaignConfig};
 use aabft_faults::plan::{FaultSpec, InjectScope};
@@ -49,13 +48,13 @@ fn main() {
         };
         // Without recovery: measure raw detection of the corrupted product.
         let plain =
-            AAbftScheme::new(AAbftConfig::builder().block_size(bs).tiling(tiling).build().expect("valid config"));
+            AAbftGemm::new(AAbftConfig::builder().block_size(bs).tiling(tiling).build().expect("valid config"));
         let rp = run_campaign(&plain, &config);
         // With recovery: the returned product should be healed. Checksum
         // reconstruction leaves a residue at checksum-rounding level
         // (~1e-13 here), far above the per-element sigma the strict
         // classifier uses, so judge healing by the worst deviation instead.
-        let recovering = AAbftScheme::new(
+        let recovering = AAbftGemm::new(
             AAbftConfig::builder()
                 .block_size(bs)
                 .tiling(tiling)

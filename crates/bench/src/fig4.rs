@@ -5,8 +5,8 @@
 //! inner-loop multiplication), input class and matrix size, comparing
 //! A-ABFT against SEA-ABFT.
 
-use aabft_baselines::{AAbftScheme, SeaAbft};
-use aabft_core::AAbftConfig;
+use aabft_baselines::SeaAbft;
+use aabft_core::{AAbftConfig, AAbftGemm};
 use aabft_faults::bitflip::BitRegion;
 use aabft_faults::campaign::{run_campaign, CampaignConfig};
 use aabft_faults::outcome::DetectionStats;
@@ -98,7 +98,7 @@ pub fn sweep(config: &Fig4Config) -> Vec<Fig4Cell> {
                     faults_per_run: 1,
                     scope: InjectScope::GemmSites,
                 };
-                let aabft = AAbftScheme::new(
+                let aabft = AAbftGemm::new(
                     AAbftConfig::builder().block_size(config.bs).tiling(config.tiling).build().expect("valid config"),
                 );
                 let r = run_campaign(&aabft, &campaign);

@@ -334,10 +334,8 @@ pub fn predict_launches(kind: SchemeKind, shape: &PredictShape) -> Vec<LaunchRec
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aabft_baselines::{
-        AAbftScheme, FixedBoundAbft, ProtectedGemm, SeaAbft, TmrGemm, UnprotectedGemm,
-    };
-    use aabft_core::AAbftConfig;
+    use aabft_baselines::{FixedBoundAbft, ProtectedGemm, SeaAbft, TmrGemm, UnprotectedGemm};
+    use aabft_core::{AAbftConfig, AAbftGemm};
     use aabft_gpu_sim::device::Device;
     use aabft_matrix::Matrix;
 
@@ -371,7 +369,7 @@ mod tests {
                 SeaAbft::new(shape.bs).with_tiling(shape.tiling).multiply(&device, &a, &b);
             }
             SchemeKind::AAbft => {
-                AAbftScheme::new(
+                AAbftGemm::new(
                     AAbftConfig::builder()
                         .block_size(shape.bs)
                         .p(shape.p)

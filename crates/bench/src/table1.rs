@@ -7,10 +7,8 @@
 //! match them exactly).
 
 use crate::predict::{predict_launches, PredictShape, SchemeKind};
-use aabft_baselines::{
-    AAbftScheme, FixedBoundAbft, ProtectedGemm, SeaAbft, TmrGemm, UnprotectedGemm,
-};
-use aabft_core::AAbftConfig;
+use aabft_baselines::{FixedBoundAbft, ProtectedGemm, SeaAbft, TmrGemm, UnprotectedGemm};
+use aabft_core::{AAbftConfig, AAbftGemm};
 use aabft_gpu_sim::device::Device;
 use aabft_gpu_sim::kernels::gemm::GemmTiling;
 use aabft_gpu_sim::perf::PerfModel;
@@ -71,7 +69,7 @@ pub fn simulated_row(n: usize, bs: usize, p: usize, tiling: GemmTiling, seed: u6
     Table1Row {
         n,
         abft: run(&FixedBoundAbft::new(1e-9, bs).with_tiling(tiling)),
-        aabft: run(&AAbftScheme::new(
+        aabft: run(&AAbftGemm::new(
             AAbftConfig::builder().block_size(bs).p(p).tiling(tiling).build().expect("valid config"),
         )),
         sea: run(&SeaAbft::new(bs).with_tiling(tiling)),

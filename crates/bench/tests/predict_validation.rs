@@ -2,11 +2,9 @@
 //! simulator across many (n, BS, p, tiling) shapes — the guarantee that the
 //! paper-scale Table I rows are derived from *exact* kernel work counts.
 
-use aabft_baselines::{
-    AAbftScheme, FixedBoundAbft, ProtectedGemm, SeaAbft, TmrGemm, UnprotectedGemm,
-};
+use aabft_baselines::{FixedBoundAbft, ProtectedGemm, SeaAbft, TmrGemm, UnprotectedGemm};
 use aabft_bench::predict::{predict_launches, PredictShape, SchemeKind};
-use aabft_core::AAbftConfig;
+use aabft_core::{AAbftConfig, AAbftGemm};
 use aabft_gpu_sim::device::Device;
 use aabft_gpu_sim::kernels::gemm::GemmTiling;
 use aabft_gpu_sim::stats::LaunchRecord;
@@ -32,7 +30,7 @@ fn measured(kind: SchemeKind, shape: &PredictShape, seed: u64) -> Vec<LaunchReco
             SeaAbft::new(shape.bs).with_tiling(shape.tiling).multiply(&device, &a, &b);
         }
         SchemeKind::AAbft => {
-            AAbftScheme::new(
+            AAbftGemm::new(
                 AAbftConfig::builder()
                     .block_size(shape.bs)
                     .p(shape.p)

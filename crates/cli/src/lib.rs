@@ -12,7 +12,7 @@
 
 #![warn(missing_docs)]
 
-use aabft_baselines::{AAbftScheme, FixedBoundAbft, SeaAbft, TmrGemm};
+use aabft_baselines::{FixedBoundAbft, SeaAbft, TmrGemm};
 use aabft_bench::args::Args;
 use aabft_bench::quality::{measure, QualityConfig};
 use aabft_bench::table1::modelled_row;
@@ -118,8 +118,8 @@ COMMANDS
              cost-model error: calibration ratios flagged outside
              [0.5, 2.0], observed per-shard queue delay)
              --serve-bench <path>  (from serve --json; render the
-             record array, --kind load|policy-matrix|feedback-matrix
-             filters; untagged legacy records inferred from shape)
+             record array, --kind load|policy-matrix filters; legacy
+             feedback-matrix records and untagged records still render)
              gate flags (non-zero exit on violation):
              --assert-min-detection 90 --assert-headroom-p99 1.0
              --assert-zero-sdc true --assert-zero-unrecovered true
@@ -138,12 +138,12 @@ COMMANDS
   lu         protected LU factorization
              --n 64 --check-every 8
   serve      ABFT-as-a-service load/chaos bench: shape-sharded admission,
-             PerfModel-costed placement with work stealing, deadline
-             classes, EWMA escalation ladder, per-replica breakers
+             one placement rule (calibrated PerfModel-costed placement
+             with work stealing), deadline classes, EWMA escalation
+             ladder, per-replica breakers
              --n 32 --rates 200,0 (requests/s, 0 = blast)
              --replicas 2 (count) or 26:packed,6:scalar,... (het specs;
              SMS:ENGINE@CLAIMED prices as CLAIMED — a mis-modelled spec)
-             --policy round-robin|costed|costed-stealing
              --requests 160 --queue-cap 256 --wave 8
              --interactive-ms 20 --batch-ms 500 --retries 2
              --mix verified|mixed --seed 7
@@ -151,19 +151,14 @@ COMMANDS
              --json BENCH_serve.json  one record per load level
              gate flags (non-zero exit on violation):
              --assert-zero-sdc true --assert-shed true --assert-ladder true
-             --feedback false  disable measured-cost calibration (price
-             waves on the static PerfModel alone)
-             placement matrix (replays one skewed-shape stream per policy
-             over a heterogeneous fleet, reports per-replica utilization):
+             placement matrix (replays one skewed-shape stream through a
+             blind round-robin baseline of single-replica servers and
+             through the server; reports per-replica utilization and
+             calibration ratios):
              --policy-matrix true --small-n 64 --big-n 256 --big-every 4
              --requests 48 --rounds 1 (best-of-N per row)
-             --assert-policy-speedup 1.3
-             feedback matrix (same stream over a mis-modelled fleet —
-             one replica's spec lies about its engine — static costed
-             vs calibrated costed vs calibrated costed+stealing):
-             --feedback-matrix true
-             --replicas 13:packed,13:scalar@packed
-             --assert-feedback-speedup 1.1
+             --replicas 26:packed,6:scalar,6:scalar (default)
+             --assert-policy-speedup 1.3  (server vs round-robin)
   help       this text
 
 OBSERVABILITY (all commands)
@@ -400,7 +395,7 @@ pub fn cmd_campaign(args: &Args) {
             scope.label()
         );
         match scheme.as_str() {
-            "aabft" => run_campaign(&AAbftScheme::new(aabft_config()), &config),
+            "aabft" => run_campaign(&AAbftGemm::new(aabft_config()), &config),
             "sea" => run_campaign(&SeaAbft::new(bs).with_tiling(tiling), &config),
             "abft" => run_campaign(
                 &FixedBoundAbft::new(args.get("epsilon", 1e-9), bs).with_tiling(tiling),
@@ -665,14 +660,11 @@ fn parse_replicas(args: &Args, default: &str) -> Vec<aabft_serve::ReplicaSpec> {
 /// turn service-level objectives into gates (non-zero exit on
 /// violation); the exactly-one-outcome accounting is always enforced.
 /// With `--policy-matrix true`, instead replays one skewed-shape stream
-/// over a heterogeneous fleet once per placement policy and gates the
-/// costed+stealing throughput win over round-robin. With
-/// `--feedback-matrix true`, replays the stream over a mis-modelled
-/// fleet with and without measured-cost calibration and gates the
-/// calibrated win over the static model.
+/// over a heterogeneous fleet through a round-robin baseline and through
+/// the server, and gates the server's throughput win.
 pub fn cmd_serve(args: &Args) {
     use aabft_serve::bench::{run_bench, BenchConfig, TenantMix};
-    use aabft_serve::{LadderConfig, PlacePolicy, ServeConfig};
+    use aabft_serve::{LadderConfig, ServeConfig};
     use std::time::Duration;
 
     let session = ObsSession::begin(args);
@@ -681,12 +673,9 @@ pub fn cmd_serve(args: &Args) {
         .split(',')
         .map(|s| s.trim().parse().unwrap_or_else(|e| panic!("--rates {s:?}: {e:?}")))
         .collect();
-    let policy: PlacePolicy = args.get("policy", PlacePolicy::default());
     let serve = ServeConfig {
         queue_capacity: args.get("queue-cap", 256usize),
         max_wave: args.get("wave", 8usize),
-        policy,
-        feedback: args.get("feedback", true),
         interactive_deadline: Duration::from_millis(args.get("interactive-ms", 20u64)),
         batch_deadline: Duration::from_millis(args.get("batch-ms", 500u64)),
         max_retries: args.get("retries", 2u32),
@@ -697,10 +686,6 @@ pub fn cmd_serve(args: &Args) {
         ..ServeConfig::default()
     };
 
-    if args.get("feedback-matrix", false) {
-        run_serve_feedback_matrix(args, serve, &session);
-        return;
-    }
     if args.get("policy-matrix", false) {
         run_serve_policy_matrix(args, serve, &session);
         return;
@@ -810,11 +795,13 @@ pub fn cmd_serve(args: &Args) {
 }
 
 /// `aabft serve --policy-matrix true` — replays one seeded skewed-shape
-/// stream over a heterogeneous replica fleet once per placement policy
-/// and reports GEMMs/s plus per-replica utilization for each.
+/// stream over a heterogeneous replica fleet through the harness's
+/// round-robin baseline and through the server, and reports GEMMs/s,
+/// per-replica utilization and the server's end-of-run calibration
+/// ratios (a replica whose spec lies about its engine shows a ratio far
+/// from its honest peers').
 fn run_serve_policy_matrix(args: &Args, serve: aabft_serve::ServeConfig, session: &ObsSession) {
-    use aabft_serve::bench::{run_policy_matrix, MatrixBenchConfig};
-    use aabft_serve::PlacePolicy;
+    use aabft_serve::bench::{run_policy_matrix, MatrixBenchConfig, ROUND_ROBIN, SERVER};
 
     let defaults = MatrixBenchConfig::default();
     let cfg = MatrixBenchConfig {
@@ -833,7 +820,7 @@ fn run_serve_policy_matrix(args: &Args, serve: aabft_serve::ServeConfig, session
     let labels: Vec<String> =
         cfg.replicas.iter().map(aabft_serve::ReplicaSpec::label).collect();
     println!(
-        "serve policy matrix: {} requests ({}³ skewed with {}³ every {}), replicas [{}]",
+        "serve placement matrix: {} requests ({}³ skewed with {}³ every {}), replicas [{}]",
         cfg.requests,
         cfg.small_n,
         cfg.big_n,
@@ -842,7 +829,7 @@ fn run_serve_policy_matrix(args: &Args, serve: aabft_serve::ServeConfig, session
     );
     println!(
         "{:>16} {:>6} {:>5} {:>7} {:>8} {:>10}  per-replica util (waves, stolen)",
-        "policy", "done", "sdc", "steals", "wall s", "gemms/s"
+        "placement", "done", "sdc", "steals", "wall s", "gemms/s"
     );
     for r in &reports {
         let util: Vec<String> = r
@@ -854,7 +841,7 @@ fn run_serve_policy_matrix(args: &Args, serve: aabft_serve::ServeConfig, session
             .collect();
         println!(
             "{:>16} {:>6} {:>5} {:>7} {:>8.3} {:>10.1}  {}",
-            r.policy.label(),
+            r.placement,
             r.completed,
             r.sdc,
             r.steals,
@@ -863,124 +850,10 @@ fn run_serve_policy_matrix(args: &Args, serve: aabft_serve::ServeConfig, session
             util.join("  ")
         );
     }
-    let speedup = |p: PlacePolicy| {
-        reports.iter().find(|r| r.policy == p).map_or(0.0, |r| r.gemms_per_sec)
-    };
-    let rr = speedup(PlacePolicy::RoundRobin);
-    let stealing = speedup(PlacePolicy::CostedStealing);
-    if rr > 0.0 {
-        println!(
-            "costed+stealing vs round-robin: {:.2}x GEMMs/s (costed alone: {:.2}x)",
-            stealing / rr,
-            speedup(PlacePolicy::Costed) / rr
-        );
-    }
-
-    let json_path = args.get("json", String::new());
-    if !json_path.is_empty() {
-        let records: Vec<JsonObject> = reports.iter().map(|r| r.to_json()).collect();
-        aabft_obs::json::write_array(Path::new(&json_path), &records);
-        println!("policy reports written to {json_path}");
-    }
-    session.finish(&[]);
-
-    let mut violations = Vec::new();
-    for r in &reports {
-        if r.completed != r.submitted {
-            violations.push(format!(
-                "{}: {} submitted but {} completed",
-                r.policy.label(),
-                r.submitted,
-                r.completed
-            ));
-        }
-    }
-    if args.get("assert-zero-sdc", false) {
-        let sdc: u64 = reports.iter().map(|r| r.sdc).sum();
-        if sdc > 0 {
-            violations.push(format!("{sdc} released product(s) were critically wrong (SDC)"));
-        }
-    }
-    let floor = args.get("assert-policy-speedup", f64::NAN);
-    if floor.is_finite() && (rr <= 0.0 || stealing / rr < floor) {
-        violations.push(format!(
-            "costed+stealing {:.1} GEMMs/s is {:.2}x round-robin {:.1}, below required {floor}x",
-            stealing,
-            if rr > 0.0 { stealing / rr } else { f64::NAN },
-            rr
-        ));
-    }
-    if !violations.is_empty() {
-        for v in &violations {
-            eprintln!("ASSERTION FAILED: {v}");
-        }
-        std::process::exit(1);
-    }
-}
-
-/// `aabft serve --feedback-matrix true` — replays one seeded
-/// skewed-shape stream over a deliberately *mis-modelled* fleet (one
-/// replica's spec claims the packed engine while the device runs
-/// scalar) three ways: static model-only costed placement, calibrated
-/// costed, and calibrated costed+stealing. Reports each row's GEMMs/s
-/// plus the end-of-run measured/modelled calibration ratios, so the
-/// lying replica is visible as a ratio far from its honest peers'.
-fn run_serve_feedback_matrix(args: &Args, serve: aabft_serve::ServeConfig, session: &ObsSession) {
-    use aabft_serve::bench::{run_feedback_matrix, MatrixBenchConfig};
-
-    let defaults = MatrixBenchConfig::default();
-    let cfg = MatrixBenchConfig {
-        small_n: args.get("small-n", defaults.small_n),
-        big_n: args.get("big-n", defaults.big_n),
-        big_every: args.get("big-every", defaults.big_every),
-        requests: args.get("requests", defaults.requests),
-        replicas: parse_replicas(args, "13:packed,13:scalar@packed"),
-        seed: args.get("seed", defaults.seed),
-        rounds: args.get("rounds", defaults.rounds),
-        serve,
-        config: build_config(args),
-    };
-    let reports = run_feedback_matrix(&cfg, &session.obs);
-
-    let labels: Vec<String> =
-        cfg.replicas.iter().map(aabft_serve::ReplicaSpec::label).collect();
-    println!(
-        "serve feedback matrix: {} requests ({}³ skewed with {}³ every {}), replicas [{}]",
-        cfg.requests,
-        cfg.small_n,
-        cfg.big_n,
-        cfg.big_every,
-        labels.join(", ")
-    );
-    println!(
-        "{:>16} {:>8} {:>6} {:>5} {:>7} {:>8} {:>10}  per-replica util (waves, stolen)",
-        "policy", "feedback", "done", "sdc", "steals", "wall s", "gemms/s"
-    );
-    for r in &reports {
-        let util: Vec<String> = r
-            .per_replica
-            .iter()
-            .map(|u| {
-                format!("{} {:.0}% ({}w,{}s)", u.label, 100.0 * u.utilization, u.waves, u.steals)
-            })
-            .collect();
-        println!(
-            "{:>16} {:>8} {:>6} {:>5} {:>7} {:>8.3} {:>10.1}  {}",
-            r.policy.label(),
-            if r.feedback { "on" } else { "off" },
-            r.completed,
-            r.sdc,
-            r.steals,
-            r.wall_s,
-            r.gemms_per_sec,
-            util.join("  ")
-        );
-    }
-    // End-of-run calibration ratios from the last (fully calibrated)
-    // row: the liar's ratio should sit far above its honest peers'.
-    if let Some(last) = reports.last() {
-        println!("  calibration (measured/modelled EWMA, {} row):", last.policy.label());
-        for (idx, u) in last.per_replica.iter().enumerate() {
+    let row = |label: &str| reports.iter().find(|r| r.placement == label);
+    if let Some(server) = row(SERVER) {
+        println!("  calibration (measured/modelled EWMA, {SERVER} row):");
+        for (idx, u) in server.per_replica.iter().enumerate() {
             let ratios: Vec<String> = u
                 .calibration
                 .iter()
@@ -994,24 +867,20 @@ fn run_serve_feedback_matrix(args: &Args, serve: aabft_serve::ServeConfig, sessi
         }
         println!(
             "    {} calibration update(s), {} cold-class fallback(s)",
-            last.cal_updates, last.cal_cold_hits
+            server.cal_updates, server.cal_cold_hits
         );
     }
-    let static_costed = reports.first().map_or(0.0, |r| r.gemms_per_sec);
-    let feedback_stealing = reports.last().map_or(0.0, |r| r.gemms_per_sec);
-    if static_costed > 0.0 {
-        println!(
-            "feedback costed+stealing vs static costed: {:.2}x GEMMs/s (feedback costed alone: {:.2}x)",
-            feedback_stealing / static_costed,
-            reports.get(1).map_or(0.0, |r| r.gemms_per_sec) / static_costed
-        );
+    let rr = row(ROUND_ROBIN).map_or(0.0, |r| r.gemms_per_sec);
+    let served = row(SERVER).map_or(0.0, |r| r.gemms_per_sec);
+    if rr > 0.0 {
+        println!("{SERVER} vs {ROUND_ROBIN}: {:.2}x GEMMs/s", served / rr);
     }
 
     let json_path = args.get("json", String::new());
     if !json_path.is_empty() {
         let records: Vec<JsonObject> = reports.iter().map(|r| r.to_json()).collect();
         aabft_obs::json::write_array(Path::new(&json_path), &records);
-        println!("feedback reports written to {json_path}");
+        println!("placement reports written to {json_path}");
     }
     session.finish(&[]);
 
@@ -1019,11 +888,8 @@ fn run_serve_feedback_matrix(args: &Args, serve: aabft_serve::ServeConfig, sessi
     for r in &reports {
         if r.completed != r.submitted {
             violations.push(format!(
-                "{} (feedback {}): {} submitted but {} completed",
-                r.policy.label(),
-                r.feedback,
-                r.submitted,
-                r.completed
+                "{}: {} submitted but {} completed",
+                r.placement, r.submitted, r.completed
             ));
         }
     }
@@ -1033,15 +899,11 @@ fn run_serve_feedback_matrix(args: &Args, serve: aabft_serve::ServeConfig, sessi
             violations.push(format!("{sdc} released product(s) were critically wrong (SDC)"));
         }
     }
-    let floor = args.get("assert-feedback-speedup", f64::NAN);
-    if floor.is_finite()
-        && (static_costed <= 0.0 || feedback_stealing / static_costed < floor)
-    {
+    let floor = args.get("assert-policy-speedup", f64::NAN);
+    if floor.is_finite() && (rr <= 0.0 || served / rr < floor) {
         violations.push(format!(
-            "feedback costed+stealing {:.1} GEMMs/s is {:.2}x static costed {:.1}, below required {floor}x",
-            feedback_stealing,
-            if static_costed > 0.0 { feedback_stealing / static_costed } else { f64::NAN },
-            static_costed
+            "{SERVER} {served:.1} GEMMs/s is {:.2}x {ROUND_ROBIN} {rr:.1}, below required {floor}x",
+            if rr > 0.0 { served / rr } else { f64::NAN },
         ));
     }
     if !violations.is_empty() {
@@ -1177,12 +1039,8 @@ fn report_model_error(metrics: &JsonValue) {
 }
 
 /// Renders a `BENCH_serve.json` record array (from `aabft serve
-/// --json`), optionally filtered to one record kind. Records carry a
-/// `kind` tag (`"load"`, `"policy-matrix"`, `"feedback-matrix"`);
-/// untagged legacy records are inferred from shape — a `rate` field
-/// means a load level, a `policy` field means a policy-matrix row.
+/// --json`), optionally filtered to one record kind.
 fn report_serve_bench(path: &str, kind_filter: &str) {
-    use aabft_obs::json::JsonValue;
     let text =
         std::fs::read_to_string(path).unwrap_or_else(|e| panic!("reading {path:?}: {e}"));
     let parsed = aabft_obs::json::parse(&text)
@@ -1190,7 +1048,29 @@ fn report_serve_bench(path: &str, kind_filter: &str) {
     let JsonValue::Array(records) = parsed else {
         panic!("{path}: expected a JSON array of bench records");
     };
+    let lines = serve_bench_lines(&records, kind_filter);
+    println!(
+        "serve bench records ({path}): {} of {} match{}",
+        lines.len(),
+        records.len(),
+        if kind_filter.is_empty() {
+            String::new()
+        } else {
+            format!(" kind {kind_filter:?}")
+        }
+    );
+    for line in lines {
+        println!("{line}");
+    }
+}
 
+/// One report line per bench record matching `kind_filter` (empty = all).
+/// Records carry a `kind` tag (`"load"`, `"policy-matrix"`, or the
+/// legacy `"feedback-matrix"`); untagged legacy records are inferred
+/// from shape — a `rate` field means a load level, a `policy` field
+/// means a policy-matrix row. Matrix rows written before static pricing
+/// was deleted carry a `feedback` key, which is shown when present.
+fn serve_bench_lines(records: &[JsonValue], kind_filter: &str) -> Vec<String> {
     let kind_of = |r: &JsonValue| -> String {
         if let Some(k) = r.get("kind").and_then(|v| v.as_str()) {
             return k.to_string();
@@ -1204,29 +1084,14 @@ fn report_serve_bench(path: &str, kind_filter: &str) {
             "unknown".to_string()
         }
     };
-    let selected: Vec<(&JsonValue, String)> = records
-        .iter()
-        .map(|r| {
-            let k = kind_of(r);
-            (r, k)
-        })
-        .filter(|(_, k)| kind_filter.is_empty() || k == kind_filter)
-        .collect();
-    println!(
-        "serve bench records ({path}): {} of {} match{}",
-        selected.len(),
-        records.len(),
-        if kind_filter.is_empty() {
-            String::new()
-        } else {
-            format!(" kind {kind_filter:?}")
-        }
-    );
     let num = |r: &JsonValue, k: &str| r.get(k).and_then(|v| v.as_f64()).unwrap_or(0.0);
     let int = |r: &JsonValue, k: &str| r.get(k).and_then(|v| v.as_u64()).unwrap_or(0);
-    for (r, kind) in &selected {
-        match kind.as_str() {
-            "load" => println!(
+    records
+        .iter()
+        .map(|r| (r, kind_of(r)))
+        .filter(|(_, k)| kind_filter.is_empty() || k == kind_filter)
+        .map(|(r, kind)| match kind.as_str() {
+            "load" => format!(
                 "  [load] rate {:>6} sub {} shed {} done {} sdc {} p99 {:.3} ms {:.1} gemms/s",
                 if num(r, "rate") > 0.0 {
                     format!("{:.0}/s", num(r, "rate"))
@@ -1240,19 +1105,21 @@ fn report_serve_bench(path: &str, kind_filter: &str) {
                 num(r, "p99_ms"),
                 num(r, "gemms_per_sec"),
             ),
-            "policy-matrix" | "feedback-matrix" => println!(
-                "  [{kind}] {:>16} feedback {:>5} done {} sdc {} steals {} {:.1} gemms/s, {} cal update(s)",
+            "policy-matrix" | "feedback-matrix" => format!(
+                "  [{kind}] {:>16}{} done {} sdc {} steals {} {:.1} gemms/s, {} cal update(s)",
                 r.get("policy").and_then(|v| v.as_str()).unwrap_or("?"),
-                r.get("feedback").and_then(|v| v.as_str()).unwrap_or("n/a"),
+                r.get("feedback")
+                    .and_then(|v| v.as_str())
+                    .map_or(String::new(), |f| format!(" feedback {f:>5}")),
                 int(r, "completed"),
                 int(r, "sdc"),
                 int(r, "steals"),
                 num(r, "gemms_per_sec"),
                 int(r, "cal_updates"),
             ),
-            other => println!("  [{other}] unrecognized record shape"),
-        }
-    }
+            other => format!("  [{other}] unrecognized record shape"),
+        })
+        .collect()
 }
 
 /// `aabft report` — renders a run-health report from the snapshot JSONL
@@ -1589,6 +1456,46 @@ mod tests {
             assert!(l.value > 0.0);
         }
         std::fs::remove_file(&folded).ok();
+    }
+
+    #[test]
+    fn serve_bench_report_renders_legacy_and_new_matrix_records() {
+        let dir = std::env::temp_dir();
+        let fresh = dir.join("aabft_cli_test_policy_matrix.json");
+        cmd_serve(&args(&[
+            ("policy-matrix", "true"),
+            ("replicas", "13:packed,4:scalar"),
+            ("small-n", "16"),
+            ("big-n", "32"),
+            ("requests", "6"),
+            ("bs", "8"),
+            ("assert-zero-sdc", "true"),
+            ("json", fresh.to_str().unwrap()),
+        ]));
+        let parse_array = |text: &str| match aabft_obs::json::parse(text).unwrap() {
+            JsonValue::Array(records) => records,
+            other => panic!("expected a record array, got {other:?}"),
+        };
+        let fresh_records = parse_array(&std::fs::read_to_string(&fresh).unwrap());
+        std::fs::remove_file(&fresh).ok();
+        assert_eq!(fresh_records.len(), 2, "one round-robin row and one server row");
+        assert!(fresh_records.iter().all(|r| r.get("feedback").is_none()));
+
+        let committed = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
+        let mut records = parse_array(&std::fs::read_to_string(committed).unwrap());
+        let legacy = records.len();
+        assert!(records.iter().any(|r| r.get("feedback").is_some()));
+        records.push(fresh_records.into_iter().last().unwrap());
+
+        let lines = serve_bench_lines(&records, "");
+        assert_eq!(lines.len(), legacy + 1, "every record renders");
+        assert!(lines.iter().all(|l| !l.contains("unrecognized")), "{lines:#?}");
+        assert!(lines.iter().any(|l| l.contains("[feedback-matrix]") && l.contains("feedback false")));
+        let new_row = lines.last().unwrap();
+        assert!(new_row.contains("[policy-matrix]") && new_row.contains("costed-stealing"));
+        assert!(!new_row.contains("feedback"), "{new_row}");
+        let matrix = serve_bench_lines(&records, "policy-matrix");
+        assert_eq!(matrix.last(), Some(new_row));
     }
 
     #[test]

@@ -534,8 +534,7 @@ pub fn classify_product(
 mod tests {
     use super::*;
     use crate::bitflip::BitRegion;
-    use aabft_baselines::AAbftScheme;
-    use aabft_core::AAbftConfig;
+    use aabft_core::{AAbftConfig, AAbftGemm};
     use aabft_gpu_sim::inject::FaultSite;
 
     fn tiny_config(site: FaultSite, region: BitRegion) -> CampaignConfig {
@@ -553,8 +552,8 @@ mod tests {
         }
     }
 
-    fn tiny_scheme() -> AAbftScheme {
-        AAbftScheme::new(
+    fn tiny_scheme() -> AAbftGemm {
+        AAbftGemm::new(
             AAbftConfig::builder()
                 .block_size(4)
                 .tiling(GemmTiling { bm: 8, bn: 8, bk: 4, rx: 2, ry: 2 })

@@ -19,21 +19,17 @@
 //! A second bench mode, [`run_policy_matrix`], measures the placement
 //! plane itself: a seeded skewed-shape request stream (mostly small
 //! GEMMs, every k-th a large one) over heterogeneous replicas, replayed
-//! once per [`PlacePolicy`], reporting GEMMs/s and per-replica
-//! utilization. Blind round-robin lands a share of the large GEMMs on
+//! twice — once through a blind round-robin baseline the harness builds
+//! from one single-replica [`Server`] per spec (request `t` goes to
+//! server `t mod N`), once through one [`Server`] over the whole fleet —
+//! reporting GEMMs/s, per-replica utilization and the end-of-run
+//! calibration ratios. Round-robin lands a share of the large GEMMs on
 //! small/scalar replicas, which burn several times the compute per
-//! product; costed placement keeps them on the replica the `PerfModel`
-//! says finishes them soonest, so the same stream drains measurably
-//! faster — the headline claim gated by `tier1.sh`.
-//!
-//! A third mode, [`run_feedback_matrix`], turns the lens on the cost
-//! model itself: the fleet contains a *mis-modelled* replica (scalar
-//! engine, priced as packed), so the static model confidently routes
-//! heavy waves to the slowest machine. The matrix replays the stream
-//! under static `Costed`, calibrated `Costed`, and calibrated
-//! `CostedStealing`, recording each replica's end-of-run calibration
-//! ratios — the liar's converge away from 1.0 — and the throughput the
-//! feedback plane recovers.
+//! product; the server keeps them on the replica its calibrated prices
+//! say finishes them soonest, so the same stream drains measurably
+//! faster — the headline claim gated by `tier1.sh`. Over a
+//! *mis-modelled* fleet (a replica whose spec lies about its engine)
+//! the liar's calibration ratio shows the correction at work.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -52,7 +48,7 @@ use aabft_obs::Obs;
 
 use crate::chaos::{Storm, StormConfig};
 use crate::ladder::LadderLevel;
-use crate::placement::{PlacePolicy, ReplicaSpec};
+use crate::placement::ReplicaSpec;
 use crate::request::{DeadlineClass, Rejected, ServeOutcome, ServeRequest};
 use crate::server::{ServeConfig, Server};
 
@@ -416,8 +412,8 @@ fn run_level(
 }
 
 /// The skewed-shape, heterogeneous-replica placement bench: one seeded
-/// request stream replayed once per placement policy over the same
-/// replica fleet.
+/// request stream replayed through the round-robin baseline and through
+/// the server, over the same replica fleet.
 #[derive(Debug, Clone)]
 pub struct MatrixBenchConfig {
     /// Dimension of the common (small) GEMMs.
@@ -426,21 +422,20 @@ pub struct MatrixBenchConfig {
     pub big_n: usize,
     /// Every `big_every`-th submission is a large GEMM (the skew).
     pub big_every: usize,
-    /// Submissions per policy run.
+    /// Submissions per row.
     pub requests: usize,
-    /// The heterogeneous replica fleet (shared across policies).
+    /// The heterogeneous replica fleet (shared by both rows).
     pub replicas: Vec<ReplicaSpec>,
     /// Input-pool seed.
     pub seed: u64,
-    /// Rounds per (policy, feedback) row; the row reports its best
-    /// round by GEMMs/s. On a loaded or single-core host the wall time
-    /// of one short run carries scheduler noise comparable to the
-    /// placement effect being measured — best-of-N gives every row the
-    /// same number of tries at a quiet machine.
+    /// Rounds per row; the row reports its best round by GEMMs/s. On a
+    /// loaded or single-core host the wall time of one short run carries
+    /// scheduler noise comparable to the placement effect being measured
+    /// — best-of-N gives every row the same number of tries at a quiet
+    /// machine.
     pub rounds: usize,
-    /// Server tuning (`policy` and `queue_capacity` are overridden per
-    /// run: each policy gets its own server, and the queue is widened to
-    /// hold the whole stream so shedding never skews the comparison).
+    /// Server tuning (`queue_capacity` is widened to hold the whole
+    /// stream so shedding never skews the comparison).
     pub serve: ServeConfig,
     /// Protected-GEMM configuration.
     pub config: AAbftConfig,
@@ -473,7 +468,7 @@ impl MatrixBenchConfig {
     }
 }
 
-/// One replica's share of a policy run.
+/// One replica's share of a matrix row.
 #[derive(Debug)]
 pub struct ReplicaUtil {
     /// Replica label, e.g. `26sm:packed`.
@@ -491,15 +486,17 @@ pub struct ReplicaUtil {
     pub calibration: Vec<((usize, usize, usize), f64)>,
 }
 
-/// One policy's row in the placement matrix.
+/// Label of the harness's blind-rotation baseline row.
+pub const ROUND_ROBIN: &str = "round-robin";
+
+/// Label of the server row: costed placement with stealing.
+pub const SERVER: &str = "costed-stealing";
+
+/// One row of the placement matrix.
 #[derive(Debug)]
 pub struct PolicyReport {
-    /// Record tag: `"policy-matrix"` or `"feedback-matrix"`.
-    pub kind: &'static str,
-    /// The placement policy measured.
-    pub policy: PlacePolicy,
-    /// Whether measured-cost feedback priced this run's waves.
-    pub feedback: bool,
+    /// [`ROUND_ROBIN`] or [`SERVER`].
+    pub placement: &'static str,
     /// Submissions (all admitted; the queue is sized to the stream).
     pub submitted: u64,
     /// Products released.
@@ -520,18 +517,17 @@ pub struct PolicyReport {
     pub cal_updates: u64,
     /// Cold-class fallbacks taken during the run.
     pub cal_cold_hits: u64,
-    /// Per-replica placement balance.
+    /// Per-replica placement balance, in fleet order.
     pub per_replica: Vec<ReplicaUtil>,
 }
 
 impl PolicyReport {
     /// Flat JSON record (one element of the `BENCH_serve.json` array),
-    /// tagged with its `kind` (`"policy-matrix"` or `"feedback-matrix"`).
+    /// tagged `kind: "policy-matrix"` with the row label under `policy`.
     pub fn to_json(&self) -> JsonObject {
         let mut obj = JsonObject::new()
-            .str("kind", self.kind)
-            .str("policy", self.policy.label())
-            .str("feedback", if self.feedback { "true" } else { "false" })
+            .str("kind", "policy-matrix")
+            .str("policy", self.placement)
             .int("submitted", self.submitted)
             .int("completed", self.completed)
             .int("sdc", self.sdc)
@@ -557,76 +553,26 @@ impl PolicyReport {
     }
 }
 
-/// Runs the skewed-shape stream once per policy (round-robin, costed,
-/// costed+stealing) and returns one report per policy, in that order.
-/// All three runs price with measured-cost feedback (the production
-/// default); the records tag as `"policy-matrix"`.
+/// Runs the skewed-shape stream through the round-robin baseline and
+/// then through the server, and returns one report per row, in that
+/// order.
 pub fn run_policy_matrix(cfg: &MatrixBenchConfig, obs: &Arc<Obs>) -> Vec<PolicyReport> {
     let small = InputPool::new(cfg.small_n, 3, cfg.seed);
     let big = InputPool::new(cfg.big_n, 2, cfg.seed ^ 0x5eed);
-    [PlacePolicy::RoundRobin, PlacePolicy::Costed, PlacePolicy::CostedStealing]
+    [ROUND_ROBIN, SERVER]
         .into_iter()
-        .map(|policy| run_policy(cfg, "policy-matrix", policy, true, &small, &big, obs))
+        .map(|placement| {
+            (0..cfg.rounds.max(1))
+                .map(|round| run_row_once(cfg, placement, round, &small, &big, obs))
+                .max_by(|a, b| a.gemms_per_sec.total_cmp(&b.gemms_per_sec))
+                .expect("at least one round")
+        })
         .collect()
 }
 
-/// The mis-modelled fleet the feedback matrix defaults to: an honest
-/// replica next to a *liar* with the identical claimed spec — same SM
-/// count, both priced as packed — whose device actually runs the scalar
-/// engine, several times slower. The static model cannot tell them
-/// apart, so it splits waves evenly and pays the liar's tax on half the
-/// stream; only measured feedback can rig the split toward the honest
-/// twin.
-pub fn mis_modelled_fleet() -> Vec<ReplicaSpec> {
-    vec![
-        "13:packed".parse().expect("valid fleet spec"),
-        "13:scalar@packed".parse().expect("valid fleet spec"),
-    ]
-}
-
-/// The measured-cost-feedback shootout: the same seeded skewed stream
-/// over a deliberately mis-modelled fleet (see [`mis_modelled_fleet`]),
-/// three ways — static model-only `Costed` (the PR-9 behaviour, which
-/// trusts the lying spec), calibrated `Costed`, and calibrated
-/// `CostedStealing` with the adaptive observed-delay steal rule. Records
-/// tag as `"feedback-matrix"`; the tier-1 gate compares the last row's
-/// GEMMs/s against the first.
-pub fn run_feedback_matrix(cfg: &MatrixBenchConfig, obs: &Arc<Obs>) -> Vec<PolicyReport> {
-    let small = InputPool::new(cfg.small_n, 3, cfg.seed);
-    let big = InputPool::new(cfg.big_n, 2, cfg.seed ^ 0x5eed);
-    [
-        (PlacePolicy::Costed, false),
-        (PlacePolicy::Costed, true),
-        (PlacePolicy::CostedStealing, true),
-    ]
-    .into_iter()
-    .map(|(policy, feedback)| {
-        run_policy(cfg, "feedback-matrix", policy, feedback, &small, &big, obs)
-    })
-    .collect()
-}
-
-fn run_policy(
+fn run_row_once(
     cfg: &MatrixBenchConfig,
-    kind: &'static str,
-    policy: PlacePolicy,
-    feedback: bool,
-    small: &InputPool,
-    big: &InputPool,
-    obs: &Arc<Obs>,
-) -> PolicyReport {
-    (0..cfg.rounds.max(1))
-        .map(|round| run_policy_once(cfg, kind, policy, feedback, round, small, big, obs))
-        .max_by(|a, b| a.gemms_per_sec.total_cmp(&b.gemms_per_sec))
-        .expect("at least one round")
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_policy_once(
-    cfg: &MatrixBenchConfig,
-    kind: &'static str,
-    policy: PlacePolicy,
-    feedback: bool,
+    placement: &'static str,
     round: usize,
     small: &InputPool,
     big: &InputPool,
@@ -634,22 +580,23 @@ fn run_policy_once(
 ) -> PolicyReport {
     let _run = aabft_obs::span!(
         obs, "serve", "policy_run",
-        "policy" => policy.label(),
-        "feedback" => u64::from(feedback),
+        "policy" => placement,
         "round" => round as u64,
         "requests" => cfg.requests as u64,
     );
     let mut serve = cfg.serve;
-    serve.policy = policy;
-    serve.feedback = feedback;
     serve.queue_capacity = serve.queue_capacity.max(cfg.requests);
-    let server = Server::start(
-        serve,
-        AAbftGemm::new(cfg.config),
-        cfg.replicas.clone(),
-        obs.clone(),
-    )
-    .expect("matrix bench ServeConfig is valid");
+    let start_server = |replicas: Vec<ReplicaSpec>| {
+        Server::start(serve, AAbftGemm::new(cfg.config), replicas, obs.clone())
+            .expect("matrix bench ServeConfig is valid")
+    };
+    // The baseline rotates blindly at admission: one single-replica
+    // server per spec, and request `t` goes to server `t mod N`.
+    let servers: Vec<Server> = if placement == ROUND_ROBIN {
+        cfg.replicas.iter().map(|spec| start_server(vec![spec.clone()])).collect()
+    } else {
+        vec![start_server(cfg.replicas.clone())]
+    };
 
     let start = Instant::now();
     let mut tickets = Vec::with_capacity(cfg.requests);
@@ -661,7 +608,7 @@ fn run_policy_once(
         let req = ServeRequest::new(a.clone(), b.clone())
             .with_policy(ProtectionPolicy::AAbft)
             .with_class(DeadlineClass::Unbounded);
-        match server.submit(req) {
+        match servers[t % servers.len()].submit(req) {
             Ok(ticket) => tickets.push((t, ticket)),
             Err(rej) => panic!("matrix bench queue sized to stream, yet: {rej}"),
         }
@@ -671,27 +618,31 @@ fn run_policy_once(
     // accounts: under blast submission, nearly all the work happens
     // after the submit loop returns. SDC judgment runs outside the timed
     // window so host-side classification cost never skews the
-    // policy-to-policy throughput ratio.
+    // row-to-row throughput ratio.
     let outcomes: Vec<(usize, ServeOutcome)> =
         tickets.into_iter().map(|(t, ticket)| (t, ticket.wait())).collect();
     let wall = start.elapsed();
-    let steals = server.steals();
-    let placement = server.placement();
-    type ReplicaRaw = (String, u64, u64, Duration, Vec<((usize, usize, usize), f64)>);
-    let per_replica_raw: Vec<ReplicaRaw> =
-        (0..server.replicas())
-            .map(|r| {
-                (
-                    server.replica_spec(r).label(),
-                    server.replica_waves(r),
-                    server.replica_steals(r),
-                    server.replica_busy(r),
-                    placement.calibration(r),
-                )
-            })
-            .collect();
-    let (cal_updates, cal_cold_hits) = (placement.cal_updates(), placement.cal_cold_hits());
-    server.shutdown();
+    let mut steals = 0;
+    let (mut cal_updates, mut cal_cold_hits) = (0, 0);
+    let mut per_replica = Vec::with_capacity(cfg.replicas.len());
+    for server in servers {
+        let placement = server.placement();
+        steals += server.steals();
+        cal_updates += placement.cal_updates();
+        cal_cold_hits += placement.cal_cold_hits();
+        for r in 0..server.replicas() {
+            let busy_s = server.replica_busy(r).as_secs_f64();
+            per_replica.push(ReplicaUtil {
+                label: server.replica_spec(r).label(),
+                waves: server.replica_waves(r),
+                steals: server.replica_steals(r),
+                busy_s,
+                utilization: busy_s / wall.as_secs_f64(),
+                calibration: placement.calibration(r),
+            });
+        }
+        server.shutdown();
+    }
 
     let model = RoundingModel::binary64();
     let bs = cfg.config.block_size;
@@ -720,9 +671,7 @@ fn run_policy_once(
     latencies_ms.sort_by(f64::total_cmp);
 
     PolicyReport {
-        kind,
-        policy,
-        feedback,
+        placement,
         submitted,
         completed,
         sdc,
@@ -733,16 +682,6 @@ fn run_policy_once(
         p99_ms: percentile(&latencies_ms, 0.99),
         cal_updates,
         cal_cold_hits,
-        per_replica: per_replica_raw
-            .into_iter()
-            .map(|(label, waves, steals, busy, calibration)| ReplicaUtil {
-                label,
-                waves,
-                steals,
-                busy_s: busy.as_secs_f64(),
-                utilization: busy.as_secs_f64() / wall.as_secs_f64(),
-                calibration,
-            })
-            .collect(),
+        per_replica,
     }
 }

@@ -13,13 +13,14 @@
 //!   load shedding at capacity, deadline sweeping, and wave extraction
 //!   from per-shape-class shards;
 //! * [`placement`] — heterogeneous [`ReplicaSpec`]s (per-replica SM
-//!   count and clean engine) and the [`PlacePolicy`] that costs ready
-//!   waves against each replica's own `PerfModel`
-//!   (round-robin / costed / costed+stealing), with an online
-//!   calibration plane: per-(replica, shape-class) EWMAs of
+//!   count and clean engine) and the [`Placement`] plane that costs
+//!   ready waves against each replica's own `PerfModel`, with online
+//!   calibration: per-(replica, shape-class) EWMAs of
 //!   measured/modelled latency blend into every price, so placement
 //!   corrects model error — including a replica whose spec lies about
-//!   its engine — as it serves;
+//!   its engine — as it serves. There is one placement rule and no
+//!   option: a replica takes the shards it is the calibrated argmin for
+//!   and, when idle, steals work that would wait longer than it takes;
 //! * [`ladder`] — the [`EscalationLadder`]: maps the
 //!   `abft.fault_rate_ewma` gauge to a protection floor
 //!   (`Base → Verify → Heal`) with hysteresis on the way down;
@@ -29,9 +30,10 @@
 //! * [`server`] — [`Server`]: one dispatcher thread per replica device,
 //!   waves through [`BatchGemm`], retry-with-backoff around heal
 //!   budgets;
-//! * [`chaos`] + [`bench`] — the seeded fault [`Storm`] and the
-//!   open-loop load generator behind `aabft serve --bench` and
-//!   `BENCH_serve.json`.
+//! * [`chaos`] + [`bench`] — the seeded fault [`Storm`], the
+//!   open-loop load generator behind `aabft serve` and
+//!   `BENCH_serve.json`, and the placement matrix that races the server
+//!   against a blind round-robin baseline built in the harness.
 //!
 //! [`BatchGemm`]: aabft_core::batch::BatchGemm
 //!
@@ -73,7 +75,7 @@ pub use bench::{BenchConfig, LevelReport, MatrixBenchConfig, PolicyReport, Tenan
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use chaos::{Storm, StormConfig};
 pub use ladder::{EscalationLadder, LadderConfig, LadderLevel};
-pub use placement::{shape_class, PlacePolicy, Placement, ReplicaSpec};
+pub use placement::{shape_class, Placement, ReplicaSpec};
 pub use request::{
     Completed, DeadlineClass, Rejected, ServeOutcome, ServeRequest, Ticket,
 };

@@ -1,32 +1,26 @@
 //! Replica specifications and the PerfModel-costed placement plane.
 //!
-//! PR 8's server cloned identical devices; here replicas become
-//! heterogeneous first-class citizens: each [`ReplicaSpec`] carries its
-//! own [`DeviceConfig`] (SM count, clean-path engine) and a
-//! [`PerfModel`] scaled to that configuration, so the dispatcher can
-//! *cost* a ready wave against every replica with
-//! [`PerfModel::gemm_wave_cost`] (which routes through
-//! `PerfModel::schedule`/`stream_makespan`) and route heavy shapes to
-//! the replicas that finish them soonest.
+//! Replicas are heterogeneous: each [`ReplicaSpec`] carries its own
+//! [`DeviceConfig`] (SM count, clean-path engine) and a [`PerfModel`]
+//! scaled to that configuration, so the dispatcher can *cost* a ready
+//! wave against every replica with [`PerfModel::gemm_wave_cost`] (which
+//! routes through `PerfModel::schedule`/`stream_makespan`) and route
+//! heavy shapes to the replicas that finish them soonest.
 //!
-//! Three [`PlacePolicy`] variants ride the same sharded queue:
-//!
-//! * `RoundRobin` — blind per-request rotation across replicas, the
-//!   PR-8-equivalent baseline;
-//! * `Costed` — a replica takes a shard only when it is the modelled
-//!   argmin (inflight cost + wave cost) among live replicas;
-//! * `CostedStealing` — costed, plus an otherwise-idle replica drains
-//!   the heaviest *eligible* shard (one whose backlog outlasts the
-//!   best replica's modelled drain, or whose observed queueing delay
-//!   exceeds the thief's own calibrated cost) instead of parking.
+//! The server has one placement rule (the queue module spells out the
+//! steal half): a replica takes a shard when it is the calibrated argmin
+//! of `inflight + wave cost` over live replicas, and an idle warm
+//! replica steals a shard whose backlog or observed queueing delay
+//! outlasts its own price. There is no policy to choose; blind
+//! round-robin survives only as a bench baseline in [`crate::bench`].
 //!
 //! The model is analytic and therefore wrong in interesting ways — SM
 //! counts drift, a replica's spec can outright lie about its clean
 //! engine. So [`Placement`] closes the loop the way the paper's bound
 //! determination does: *online*. Every completed wave feeds its measured
-//! wall latency into a per-(replica, shape-class) EWMA of
-//! measured/modelled ([`Placement::record_measured`]), and the costed
-//! policies price waves with the blended cost `modelled × ratio`
+//! latency back into a per-(replica, shape-class) EWMA of
+//! measured/modelled ([`Placement::record_measured`]), and every price
+//! is the blended cost `modelled × ratio`
 //! ([`Placement::calibrated_wave_costs`]); cold classes seed from the
 //! nearest calibrated class by modelled cost ([`Placement::ratio`]).
 
@@ -172,56 +166,6 @@ impl std::str::FromStr for ReplicaSpec {
     }
 }
 
-/// How the dispatcher maps ready waves onto replicas.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PlacePolicy {
-    /// Blind per-request rotation (the PR-8-equivalent baseline).
-    RoundRobin,
-    /// PerfModel-costed placement: a replica takes a shard only when it
-    /// is the modelled best fit among live replicas.
-    Costed,
-    /// Costed placement plus work stealing for idle replicas. The
-    /// default.
-    #[default]
-    CostedStealing,
-}
-
-impl PlacePolicy {
-    /// Whether idle replicas may steal ineligible shards.
-    pub fn steals(self) -> bool {
-        matches!(self, PlacePolicy::CostedStealing)
-    }
-
-    /// Whether placement is modelled-cost-driven (vs blind rotation).
-    pub fn costed(self) -> bool {
-        !matches!(self, PlacePolicy::RoundRobin)
-    }
-
-    /// Short label for reports and JSON records.
-    pub fn label(self) -> &'static str {
-        match self {
-            PlacePolicy::RoundRobin => "round-robin",
-            PlacePolicy::Costed => "costed",
-            PlacePolicy::CostedStealing => "costed-stealing",
-        }
-    }
-}
-
-impl std::str::FromStr for PlacePolicy {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "round-robin" | "rr" => Ok(PlacePolicy::RoundRobin),
-            "costed" => Ok(PlacePolicy::Costed),
-            "costed-stealing" | "stealing" => Ok(PlacePolicy::CostedStealing),
-            other => Err(format!(
-                "unknown placement policy {other:?} (round-robin|costed|costed-stealing)"
-            )),
-        }
-    }
-}
-
 /// A shape's calibration (and shard) class: each dimension rounded up to
 /// the next power of two, floored at 8. Calibration ratios are kept per
 /// class, not per exact shape: classes pool enough samples to converge
@@ -255,9 +199,6 @@ type CalMap = HashMap<(usize, usize, usize), f64>;
 pub struct Placement {
     specs: Vec<ReplicaSpec>,
     cache: Mutex<HashMap<WaveKey, Vec<f64>>>,
-    /// Whether calibrated (blended) costs are in effect; `false` prices
-    /// on the pure analytic model (the PR-9 static behaviour).
-    feedback: bool,
     /// Per-replica map: shape class → EWMA of measured/modelled.
     cal: Mutex<Vec<CalMap>>,
     cal_updates: AtomicU64,
@@ -265,20 +206,12 @@ pub struct Placement {
 }
 
 impl Placement {
-    /// A placement plane over `specs` with measured-cost feedback on.
+    /// A placement plane over `specs`, every replica cold.
     pub fn new(specs: Vec<ReplicaSpec>) -> Self {
-        Placement::with_feedback(specs, true)
-    }
-
-    /// A placement plane with feedback explicitly on or off. Off means
-    /// pure analytic-model pricing: measurements are still recorded (the
-    /// telemetry stays comparable) but never blended into costs.
-    pub fn with_feedback(specs: Vec<ReplicaSpec>, feedback: bool) -> Self {
         let replicas = specs.len();
         Placement {
             specs,
             cache: Mutex::new(HashMap::new()),
-            feedback,
             cal: Mutex::new(vec![HashMap::new(); replicas]),
             cal_updates: AtomicU64::new(0),
             cal_cold_hits: AtomicU64::new(0),
@@ -295,16 +228,10 @@ impl Placement {
         self.specs.len()
     }
 
-    /// Whether calibrated costs are in effect.
-    pub fn feedback(&self) -> bool {
-        self.feedback
-    }
-
     /// Whether `replica` has absorbed at least one measured sample (any
     /// shape class). A cold replica's prices are pure spec — and a spec
     /// can lie — so the steal rule refuses to let a cold replica trust
-    /// its own price against another replica's backlog while feedback
-    /// is on.
+    /// its own price against another replica's backlog.
     pub fn is_warm(&self, replica: usize) -> bool {
         !self.cal.lock().expect("placement calibration lock")[replica].is_empty()
     }
@@ -443,14 +370,10 @@ impl Placement {
     }
 
     /// Blended per-replica cost of a `count`-request wave: modelled ×
-    /// calibration ratio (pure modelled when feedback is off). Index =
-    /// replica. This is the price the dispatcher's argmin runs on.
+    /// calibration ratio. Index = replica. This is the price the
+    /// dispatcher's argmin runs on.
     pub fn calibrated_wave_costs(&self, key: (usize, usize, usize), count: usize) -> Vec<f64> {
-        let modelled = self.wave_costs(key, count);
-        if !self.feedback {
-            return modelled;
-        }
-        modelled
+        self.wave_costs(key, count)
             .iter()
             .enumerate()
             .map(|(replica, &cost)| cost * self.ratio(replica, key))
@@ -518,20 +441,6 @@ mod tests {
     }
 
     #[test]
-    fn policy_parsing() {
-        assert_eq!("rr".parse::<PlacePolicy>().unwrap(), PlacePolicy::RoundRobin);
-        assert_eq!("costed".parse::<PlacePolicy>().unwrap(), PlacePolicy::Costed);
-        assert_eq!(
-            "costed-stealing".parse::<PlacePolicy>().unwrap(),
-            PlacePolicy::CostedStealing
-        );
-        assert!("random".parse::<PlacePolicy>().is_err());
-        assert!(PlacePolicy::CostedStealing.steals());
-        assert!(!PlacePolicy::Costed.steals());
-        assert!(!PlacePolicy::RoundRobin.costed());
-    }
-
-    #[test]
     fn fast_replica_wins_heavy_shapes() {
         let placement = Placement::new(vec![
             "26:packed".parse().unwrap(),
@@ -589,18 +498,6 @@ mod tests {
     }
 
     #[test]
-    fn feedback_off_prices_on_pure_model() {
-        let placement = Placement::with_feedback(vec!["13".parse().unwrap()], false);
-        let key = (128, 128, 128);
-        let modelled = placement.request_cost(key, 0);
-        placement.record_measured(0, key, 5.0 * modelled, modelled);
-        assert!(!placement.feedback());
-        assert_eq!(placement.calibrated_request_cost(key, 0), modelled);
-        // The measurement is still recorded for telemetry.
-        assert_eq!(placement.cal_updates(), 1);
-    }
-
-    #[test]
     fn cold_class_seeds_from_nearest_calibrated_class() {
         let placement = Placement::new(vec!["13".parse().unwrap()]);
         let small = (64, 64, 64);
@@ -645,6 +542,7 @@ mod tests {
     #[test]
     fn shape_class_rounds_up_with_floor() {
         assert_eq!(shape_class((48, 48, 48)), (64, 64, 64));
+        assert_eq!(shape_class((8, 8, 8)), (8, 8, 8));
         assert_eq!(shape_class((3, 5, 9)), (8, 8, 16));
         assert_eq!(shape_class((64, 64, 64)), (64, 64, 64));
     }

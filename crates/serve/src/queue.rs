@@ -1,31 +1,24 @@
 //! The sharded admission plane: bounded admission, deadline sweeping,
-//! per-shape-class shards, and policy-driven wave extraction with
-//! PerfModel-costed placement and work stealing.
+//! per-shape-class shards, and wave extraction under the one placement
+//! rule — calibrated costed placement with work stealing.
 //!
-//! PR 8 kept one shared FIFO; a wave could only coalesce same-shape
-//! requests that happened to be adjacent, and placement was blind
-//! first-come-first-served. Here admitted requests land in *shards*
-//! keyed by their rounded shape class ([`shard_class`]), so the batch
-//! engine's plan/pack caches stay hot per shard, and each dispatcher
-//! asks [`ShardedQueue::take_wave`] for the shard it is *best suited
-//! for* under the configured [`PlacePolicy`]:
+//! Admitted requests land in *shards* keyed by their rounded shape class
+//! ([`shape_class`]), so the batch engine's plan/pack caches stay hot
+//! per shard, and each dispatcher asks [`ShardedQueue::take_wave`] for
+//! the shard it is *best suited for*:
 //!
-//! * `RoundRobin` — every request is stamped with a home replica at
-//!   admission (blind rotation); a dispatcher takes only its own
-//!   entries.
-//! * `Costed` — a dispatcher takes a shard only when it is the argmin
-//!   of `inflight + wave_cost` over live replicas, where wave costs are
+//! * **Own take.** A dispatcher takes a shard when it is the argmin of
+//!   `inflight + wave_cost` over live replicas, where wave costs are
 //!   *calibrated*: each replica's scaled [`PerfModel`] estimate blended
 //!   with the measured/modelled EWMA for that shape class (see
 //!   [`Placement::calibrated_wave_costs`]).
-//! * `CostedStealing` — costed, plus: an idle dispatcher drains the
-//!   heaviest *eligible* shard instead of parking. A shard is eligible
-//!   when its backlog on its best replica outlasts the thief's own
-//!   calibrated wave cost, **or** when its observed queueing delay —
-//!   the per-class EWMA of admit→dispatch age, maxed with the lead
-//!   entry's current age — exceeds that cost: if work demonstrably
-//!   waits longer than the thief needs to run it, the thief runs it,
-//!   whatever the model claims about the backlog.
+//! * **Steal.** Otherwise an idle, warm dispatcher drains the heaviest
+//!   *eligible* shard instead of parking. A shard is eligible when its
+//!   backlog on its best replica outlasts the thief's own calibrated
+//!   wave cost, **or** when its observed queueing delay — the per-class
+//!   EWMA of admit→dispatch age — exceeds that cost: if work
+//!   demonstrably waits longer than the thief needs to run it, the
+//!   thief runs it, whatever the model claims about the backlog.
 //!
 //! The queue also maintains the observed-delay signal itself: every
 //! dispatched entry contributes its admit→dispatch age to its shard
@@ -34,9 +27,9 @@
 //!
 //! Built on `std::sync::{Mutex, Condvar}` (the parking_lot shim carries
 //! no condvar); one mutex guards all shards, which keeps placement
-//! decisions atomic with extraction. A closed queue drains policy-free:
+//! decisions atomic with extraction. A closed queue drains placement-free:
 //! any dispatcher takes the oldest ready wave, so no entry can strand
-//! behind a policy constraint during shutdown.
+//! behind a placement decision during shutdown.
 //!
 //! [`Placement`]: crate::placement::Placement
 //! [`PerfModel`]: aabft_gpu_sim::perf::PerfModel
@@ -48,21 +41,12 @@ use std::time::{Duration, Instant};
 use aabft_core::batch::ProtectionPolicy;
 use aabft_matrix::Matrix;
 
-use crate::placement::{shape_class, PlacePolicy, Placement};
+use crate::placement::{shape_class, Placement};
 use crate::request::{DeadlineClass, Rejected, Slot};
 
 /// Coalescing key: requests of equal `(m, n, q)` share a cached plan and
 /// pooled buffers in the batch engine, so a wave sticks to one key.
 pub(crate) type ShapeKey = (usize, usize, usize);
-
-/// A shape's shard class — the same power-of-two rounding the
-/// calibration plane keys ratios by ([`shape_class`]), so a shard's
-/// dispatch affinity and its cost calibration always agree. Shapes of
-/// one class share a shard so plan and pack-buffer caches stay hot;
-/// waves still coalesce on the *exact* key within a shard.
-pub(crate) fn shard_class(key: ShapeKey) -> ShapeKey {
-    shape_class(key)
-}
 
 /// EWMA smoothing for the per-class observed queueing delay; matched to
 /// the calibration plane's pace so the steal signal and the cost signal
@@ -104,9 +88,6 @@ pub(crate) struct Pending {
     pub not_before: Option<Instant>,
     /// Whole-request retries already performed.
     pub retries: u32,
-    /// Home replica under [`PlacePolicy::RoundRobin`] (stamped at
-    /// admission; ignored by the costed policies).
-    pub home: usize,
 }
 
 impl Pending {
@@ -162,8 +143,6 @@ struct Inner {
     /// Total queued entries across shards (capacity accounting).
     len: usize,
     closed: bool,
-    /// Round-robin stamp for the next admission.
-    rr_next: usize,
     /// Per-replica modelled cost of waves currently executing.
     inflight: Vec<f64>,
     /// Replicas currently accepting work (breaker-closed or probing).
@@ -203,7 +182,6 @@ pub(crate) struct ShardedQueue {
     inner: Mutex<Inner>,
     nonempty: Condvar,
     capacity: usize,
-    policy: PlacePolicy,
     placement: Arc<Placement>,
 }
 
@@ -214,19 +192,18 @@ pub(crate) struct ShardDepth {
 }
 
 impl ShardedQueue {
-    pub(crate) fn new(capacity: usize, policy: PlacePolicy, placement: Arc<Placement>) -> Self {
+    pub(crate) fn new(capacity: usize, placement: Arc<Placement>) -> Self {
         let replicas = placement.replicas();
         let inner = Inner {
             shards: Vec::new(),
             len: 0,
             closed: false,
-            rr_next: 0,
             inflight: vec![0.0; replicas],
             alive: vec![true; replicas],
             steals: 0,
             delay: HashMap::new(),
         };
-        ShardedQueue { inner: Mutex::new(inner), nonempty: Condvar::new(), capacity, policy, placement }
+        ShardedQueue { inner: Mutex::new(inner), nonempty: Condvar::new(), capacity, placement }
     }
 
     pub(crate) fn len(&self) -> usize {
@@ -244,9 +221,9 @@ impl ShardedQueue {
     }
 
     /// Admits `p` or sheds it: full queue → [`Rejected::QueueFull`],
-    /// closed queue → [`Rejected::ShuttingDown`]. Stamps the round-robin
-    /// home and files the entry in its shape-class shard.
-    pub(crate) fn submit(&self, mut p: Pending) -> Result<(), Rejected> {
+    /// closed queue → [`Rejected::ShuttingDown`]. Files the entry in its
+    /// shape-class shard.
+    pub(crate) fn submit(&self, p: Pending) -> Result<(), Rejected> {
         let mut inner = self.inner.lock().expect("queue lock");
         if inner.closed {
             return Err(Rejected::ShuttingDown);
@@ -254,10 +231,7 @@ impl ShardedQueue {
         if inner.len >= self.capacity {
             return Err(Rejected::QueueFull { capacity: self.capacity });
         }
-        let live = inner.live();
-        p.home = live[inner.rr_next % live.len()];
-        inner.rr_next += 1;
-        let class = shard_class(p.shape_key());
+        let class = shape_class(p.shape_key());
         inner.shard_mut(class).items.push_back(p);
         inner.len += 1;
         drop(inner);
@@ -271,14 +245,14 @@ impl ShardedQueue {
     /// guarantee.
     pub(crate) fn requeue(&self, p: Pending) {
         let mut inner = self.inner.lock().expect("queue lock");
-        let class = shard_class(p.shape_key());
+        let class = shape_class(p.shape_key());
         inner.shard_mut(class).items.push_front(p);
         inner.len += 1;
         drop(inner);
         self.nonempty.notify_one();
     }
 
-    /// Closes admission; dispatchers drain the remainder (policy-free)
+    /// Closes admission; dispatchers drain the remainder (placement-free)
     /// and then see [`Taken::Drained`].
     pub(crate) fn close(&self) {
         self.inner.lock().expect("queue lock").closed = true;
@@ -291,8 +265,7 @@ impl ShardedQueue {
     }
 
     /// Marks a replica (not) accepting work. A quarantined replica's
-    /// shard affinity redistributes immediately: round-robin homes are
-    /// restamped onto live replicas, and the costed argmin simply stops
+    /// shard affinity redistributes immediately: the argmin simply stops
     /// considering it. Waking parked dispatchers lets them re-evaluate.
     pub(crate) fn set_alive(&self, replica: usize, alive: bool) {
         let mut inner = self.inner.lock().expect("queue lock");
@@ -300,18 +273,6 @@ impl ShardedQueue {
             return;
         }
         inner.alive[replica] = alive;
-        if !alive {
-            let live = inner.live();
-            let mut next = 0usize;
-            for shard in &mut inner.shards {
-                for p in &mut shard.items {
-                    if p.home == replica {
-                        p.home = live[next % live.len()];
-                        next += 1;
-                    }
-                }
-            }
-        }
         drop(inner);
         self.nonempty.notify_all();
     }
@@ -345,9 +306,9 @@ impl ShardedQueue {
     }
 
     /// Sweeps expired entries, then extracts up to `max` ready entries of
-    /// one exact shape from the shard this replica should serve under the
-    /// placement policy (see module docs). Parks up to `park` when
-    /// nothing is dispatchable for this replica.
+    /// one exact shape from the shard this replica should serve (see
+    /// module docs). Parks up to `park` when nothing is dispatchable for
+    /// this replica.
     pub(crate) fn take_wave(&self, replica: usize, max: usize, park: Duration) -> Taken {
         debug_assert!(max >= 1);
         let mut inner = self.inner.lock().expect("queue lock");
@@ -385,21 +346,17 @@ impl ShardedQueue {
 
         // Extract the wave: the shard's oldest ready entry leads; up to
         // `max - 1` ready same-exact-shape followers coalesce behind it.
-        // Round-robin placement additionally requires the taker's home
-        // stamp (unless the queue is draining).
-        let unconstrained = self.policy.costed() || inner.closed;
-        let mine = move |p: &Pending| unconstrained || p.home == replica;
         let items = &mut inner.shards[si].items;
         let first = items
             .iter()
-            .position(|p| p.ready(now) && mine(p))
+            .position(|p| p.ready(now))
             .expect("choose_shard found a ready entry");
         let lead = items.remove(first).expect("index in bounds");
         let key = lead.shape_key();
         let mut batch = vec![lead];
         let mut i = first; // entries before `first` were not eligible
         while batch.len() < max && i < items.len() {
-            if items[i].ready(now) && items[i].shape_key() == key && mine(&items[i]) {
+            if items[i].ready(now) && items[i].shape_key() == key {
                 batch.push(items.remove(i).expect("index in bounds"));
             } else {
                 i += 1;
@@ -408,7 +365,7 @@ impl ShardedQueue {
         inner.len -= batch.len();
         // Every dispatched entry is one admit→dispatch sample for its
         // class's observed-delay EWMA (the adaptive steal signal).
-        let class = shard_class(key);
+        let class = shape_class(key);
         for p in &batch {
             let waited = now.duration_since(p.submitted).as_secs_f64();
             let delay = inner.delay.entry(class).or_insert(waited);
@@ -432,124 +389,98 @@ impl ShardedQueue {
         max: usize,
         now: Instant,
     ) -> Option<(usize, bool)> {
-        // Draining: take the oldest ready wave regardless of policy so
-        // shutdown cannot strand work behind a placement constraint.
+        // Draining: take the oldest ready wave regardless of placement so
+        // shutdown cannot strand work behind a placement decision.
         if inner.closed {
-            return self
-                .oldest_ready_shard(inner, now, |_| true)
-                .map(|si| (si, false));
+            return self.oldest_ready_shard(inner, now).map(|si| (si, false));
         }
-        match self.policy {
-            PlacePolicy::RoundRobin => self
-                .oldest_ready_shard(inner, now, |p| p.home == replica)
-                .map(|si| (si, false)),
-            PlacePolicy::Costed | PlacePolicy::CostedStealing => {
-                let live = inner.live();
-                // Own takes: shards whose calibrated best replica is us.
-                let mut own: Option<(usize, Instant)> = None;
-                // Steal candidates: (shard, pressure) for shards whose
-                // wait — modelled or observed — outlasts our own wave.
-                let mut steal: Option<(usize, f64)> = None;
-                for (si, shard) in inner.shards.iter().enumerate() {
-                    let Some(lead) = shard.items.iter().find(|p| p.ready(now)) else {
-                        continue;
-                    };
-                    let key = lead.shape_key();
-                    let count = shard
-                        .items
-                        .iter()
-                        .filter(|p| p.ready(now) && p.shape_key() == key)
-                        .count()
-                        .min(max);
-                    let costs = self.placement.calibrated_wave_costs(key, count);
-                    let best = live
-                        .iter()
-                        .copied()
-                        .min_by(|&a, &b| {
-                            (inner.inflight[a] + costs[a])
-                                .partial_cmp(&(inner.inflight[b] + costs[b]))
-                                .expect("costs are finite")
-                        })
-                        .expect("at least one live replica");
-                    if best == replica {
-                        let oldest = lead.submitted;
-                        if own.is_none_or(|(_, t)| oldest < t) {
-                            own = Some((si, oldest));
-                        }
-                    } else if self.policy.steals()
-                        && (!self.placement.feedback() || self.placement.is_warm(replica))
-                    {
-                        // A steal is the thief betting its own price
-                        // against the victim's backlog — with feedback
-                        // on, a replica that has never produced a
-                        // measured sample hasn't earned that trust (its
-                        // spec may be the lie calibration exists to
-                        // catch), so it serves only waves routed to it
-                        // until its first measurement lands.
-                        // Eligible when either signal says waiting beats
-                        // doing it ourselves: (a) the calibrated backlog,
-                        // drained by its best replica after that
-                        // replica's current inflight work, outlasts our
-                        // own wave; or (b) the shard's *observed*
-                        // queueing delay — the dispatch-age EWMA maxed
-                        // with the lead entry's current age — already
-                        // exceeds our calibrated cost. (b) is what fires
-                        // when the model lies: the backlog looks cheap on
-                        // a replica that in truth drains it slowly, and
-                        // only measured wait exposes that.
-                        let backlog: f64 = shard
-                            .items
-                            .iter()
-                            .map(|p| self.placement.calibrated_request_cost(p.shape_key(), best))
-                            .sum();
-                        let modelled_wait = inner.inflight[best] + backlog;
-                        // Observed signal: the class's dispatch-age EWMA
-                        // — what entries like this one *actually* waited
-                        // recently. Deliberately not the lead entry's
-                        // current age: under a blast every shard's lead
-                        // is as old as the run, and that signal would
-                        // tell every idle replica to steal everything.
-                        let observed_wait =
-                            inner.delay.get(&shard.class).copied().unwrap_or(0.0);
-                        let ours = costs[replica];
-                        // The observed comparison crosses unit systems:
-                        // delays are host wall seconds, prices are
-                        // calibrated device-seconds. Scale our price to
-                        // host wall before comparing.
-                        let ours_host = ours * self.placement.host_scale(replica);
-                        let best_host =
-                            costs[best] * self.placement.host_scale(best);
-                        let efficient = ours_host <= best_host * STEAL_EFFICIENCY;
-                        let pressure = modelled_wait.max(observed_wait);
-                        if efficient
-                            && (ours < modelled_wait
-                                || ours_host * STEAL_MARGIN < observed_wait)
-                            && steal.is_none_or(|(_, heaviest)| pressure > heaviest)
-                        {
-                            steal = Some((si, pressure));
-                        }
-                    }
+        let live = inner.live();
+        // A steal is the thief betting its own price against the victim's
+        // backlog — a replica that has never produced a measured sample
+        // hasn't earned that trust (its spec may be the lie calibration
+        // exists to catch), so it serves only waves routed to it until
+        // its first measurement lands.
+        let may_steal = self.placement.is_warm(replica);
+        // Own takes: shards whose calibrated best replica is us.
+        let mut own: Option<(usize, Instant)> = None;
+        // Steal candidates: (shard, pressure) for shards whose wait —
+        // modelled or observed — outlasts our own wave.
+        let mut steal: Option<(usize, f64)> = None;
+        for (si, shard) in inner.shards.iter().enumerate() {
+            let Some(lead) = shard.items.iter().find(|p| p.ready(now)) else {
+                continue;
+            };
+            let key = lead.shape_key();
+            let count = shard
+                .items
+                .iter()
+                .filter(|p| p.ready(now) && p.shape_key() == key)
+                .count()
+                .min(max);
+            let costs = self.placement.calibrated_wave_costs(key, count);
+            let best = live
+                .iter()
+                .copied()
+                .min_by(|&a, &b| {
+                    (inner.inflight[a] + costs[a])
+                        .partial_cmp(&(inner.inflight[b] + costs[b]))
+                        .expect("costs are finite")
+                })
+                .expect("at least one live replica");
+            if best == replica {
+                let oldest = lead.submitted;
+                if own.is_none_or(|(_, t)| oldest < t) {
+                    own = Some((si, oldest));
                 }
-                own.map(|(si, _)| (si, false)).or(steal.map(|(si, _)| (si, true)))
+            } else if may_steal {
+                // Eligible when either signal says waiting beats doing it
+                // ourselves: (a) the calibrated backlog, drained by its
+                // best replica after that replica's current inflight
+                // work, outlasts our own wave; or (b) the shard's
+                // *observed* queueing delay already exceeds our
+                // calibrated cost. (b) is what fires when the model lies:
+                // the backlog looks cheap on a replica that in truth
+                // drains it slowly, and only measured wait exposes that.
+                let backlog: f64 = shard
+                    .items
+                    .iter()
+                    .map(|p| self.placement.calibrated_request_cost(p.shape_key(), best))
+                    .sum();
+                let modelled_wait = inner.inflight[best] + backlog;
+                // Observed signal: the class's dispatch-age EWMA — what
+                // entries like this one *actually* waited recently.
+                // Deliberately not the lead entry's current age: under a
+                // blast every shard's lead is as old as the run, and that
+                // signal would tell every idle replica to steal
+                // everything.
+                let observed_wait = inner.delay.get(&shard.class).copied().unwrap_or(0.0);
+                let ours = costs[replica];
+                // The observed comparison crosses unit systems: delays
+                // are host wall seconds, prices are calibrated
+                // device-seconds. Scale our price to host wall before
+                // comparing.
+                let ours_host = ours * self.placement.host_scale(replica);
+                let best_host = costs[best] * self.placement.host_scale(best);
+                let efficient = ours_host <= best_host * STEAL_EFFICIENCY;
+                let pressure = modelled_wait.max(observed_wait);
+                if efficient
+                    && (ours < modelled_wait || ours_host * STEAL_MARGIN < observed_wait)
+                    && steal.is_none_or(|(_, heaviest)| pressure > heaviest)
+                {
+                    steal = Some((si, pressure));
+                }
             }
         }
+        own.map(|(si, _)| (si, false)).or(steal.map(|(si, _)| (si, true)))
     }
 
-    /// The shard holding the oldest ready entry matching `eligible`.
-    fn oldest_ready_shard(
-        &self,
-        inner: &Inner,
-        now: Instant,
-        eligible: impl Fn(&Pending) -> bool,
-    ) -> Option<usize> {
+    /// The shard holding the oldest ready entry.
+    fn oldest_ready_shard(&self, inner: &Inner, now: Instant) -> Option<usize> {
         let mut found: Option<(usize, Instant)> = None;
         for (si, shard) in inner.shards.iter().enumerate() {
-            for p in &shard.items {
-                if p.ready(now) && eligible(p) {
-                    if found.is_none_or(|(_, t)| p.submitted < t) {
-                        found = Some((si, p.submitted));
-                    }
-                    break;
+            if let Some(p) = shard.items.iter().find(|p| p.ready(now)) {
+                if found.is_none_or(|(_, t)| p.submitted < t) {
+                    found = Some((si, p.submitted));
                 }
             }
         }
@@ -575,27 +506,18 @@ mod tests {
             deadline: None,
             not_before: None,
             retries: 0,
-            home: 0,
         }
     }
 
-    fn queue(capacity: usize, policy: PlacePolicy, specs: Vec<ReplicaSpec>) -> ShardedQueue {
-        ShardedQueue::new(capacity, policy, Arc::new(Placement::new(specs)))
+    fn queue(capacity: usize, specs: Vec<ReplicaSpec>) -> ShardedQueue {
+        ShardedQueue::new(capacity, Arc::new(Placement::new(specs)))
     }
 
     const NO_PARK: Duration = Duration::from_millis(0);
 
     #[test]
-    fn shard_class_rounds_up_to_power_of_two() {
-        assert_eq!(shard_class((48, 48, 48)), (64, 64, 64));
-        assert_eq!(shard_class((8, 8, 8)), (8, 8, 8));
-        assert_eq!(shard_class((3, 5, 9)), (8, 8, 16));
-        assert_eq!(shard_class((64, 64, 64)), (64, 64, 64));
-    }
-
-    #[test]
     fn capacity_and_shutdown_shed() {
-        let q = queue(2, PlacePolicy::RoundRobin, ReplicaSpec::defaults(1));
+        let q = queue(2, ReplicaSpec::defaults(1));
         assert!(q.submit(pending(8)).is_ok());
         assert!(q.submit(pending(8)).is_ok());
         assert!(matches!(q.submit(pending(8)), Err(Rejected::QueueFull { capacity: 2 })));
@@ -607,30 +529,10 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_homes_partition_the_stream() {
-        let q = queue(16, PlacePolicy::RoundRobin, ReplicaSpec::defaults(2));
-        for _ in 0..4 {
-            q.submit(pending(8)).unwrap();
-        }
-        // Homes alternate 0,1,0,1 — each replica coalesces only its own.
-        let Taken::Wave { batch, stolen, .. } = q.take_wave(0, 8, NO_PARK) else {
-            panic!("replica 0 has work");
-        };
-        assert_eq!(batch.len(), 2);
-        assert!(!stolen);
-        assert!(batch.iter().all(|p| p.home == 0));
-        let Taken::Wave { batch, .. } = q.take_wave(1, 8, NO_PARK) else {
-            panic!("replica 1 has work");
-        };
-        assert_eq!(batch.len(), 2);
-        assert!(matches!(q.take_wave(0, 8, NO_PARK), Taken::Empty { .. }));
-    }
-
-    #[test]
     fn waves_coalesce_exact_shape_within_a_shard() {
         // 48³ and 64³ share the (64,64,64) shard class but must not mix
         // in one wave (the engine plans per exact shape).
-        let q = queue(16, PlacePolicy::CostedStealing, ReplicaSpec::defaults(1));
+        let q = queue(16, ReplicaSpec::defaults(1));
         q.submit(pending(48)).unwrap();
         q.submit(pending(64)).unwrap();
         q.submit(pending(48)).unwrap();
@@ -646,7 +548,7 @@ mod tests {
     fn costed_placement_keeps_heavy_shapes_off_slow_replicas() {
         let specs: Vec<ReplicaSpec> =
             vec!["26:packed".parse().unwrap(), "4:scalar".parse().unwrap()];
-        let q = queue(16, PlacePolicy::Costed, specs);
+        let q = queue(16, specs);
         q.submit(pending(256)).unwrap();
         // The slow scalar replica is not the argmin: it parks.
         assert!(matches!(q.take_wave(1, 8, NO_PARK), Taken::Empty { .. }));
@@ -674,7 +576,7 @@ mod tests {
         // One neutral sample (measured == modelled, ratio 1) warms the
         // thief without moving its price: a cold replica may not steal.
         placement.record_measured(1, (512, 512, 512), 1.0, 1.0);
-        let q = ShardedQueue::new(16, PlacePolicy::CostedStealing, placement);
+        let q = ShardedQueue::new(16, placement);
         for _ in 0..12 {
             q.submit(pending(512)).unwrap();
         }
@@ -694,42 +596,20 @@ mod tests {
     }
 
     #[test]
-    fn costed_without_stealing_never_steals() {
+    fn closed_queue_drains_to_a_replica_that_is_not_the_argmin() {
         let specs: Vec<ReplicaSpec> =
-            vec!["26:packed".parse().unwrap(), "8:packed".parse().unwrap()];
-        let q = queue(16, PlacePolicy::Costed, specs);
-        for _ in 0..12 {
-            q.submit(pending(512)).unwrap();
-        }
-        let Taken::Wave { .. } = q.take_wave(0, 1, NO_PARK) else {
-            panic!("fast replica takes first");
-        };
-        assert!(matches!(q.take_wave(1, 1, NO_PARK), Taken::Empty { .. }));
-        assert_eq!(q.steals(), 0);
-    }
-
-    #[test]
-    fn quarantine_restamps_homes_and_drain_ignores_policy() {
-        let q = queue(16, PlacePolicy::RoundRobin, ReplicaSpec::defaults(2));
-        for _ in 0..4 {
-            q.submit(pending(8)).unwrap();
-        }
-        // Replica 1 quarantined: its homes restamp onto replica 0.
-        q.set_alive(1, false);
-        let Taken::Wave { batch, .. } = q.take_wave(0, 8, NO_PARK) else {
-            panic!("replica 0 owns everything now");
-        };
-        assert_eq!(batch.len(), 4);
-        assert!(batch.iter().all(|p| p.home == 0));
-
-        // Draining: a closed queue hands work to any replica.
-        q.set_alive(1, true);
-        q.submit(pending(8)).unwrap();
+            vec!["26:packed".parse().unwrap(), "4:scalar".parse().unwrap()];
+        let q = queue(16, specs);
+        q.submit(pending(256)).unwrap();
+        // Open: the slow cold replica is not the argmin and parks.
+        assert!(matches!(q.take_wave(1, 8, NO_PARK), Taken::Empty { .. }));
+        // Draining: a closed queue hands the wave to whoever asks.
         q.close();
-        let Taken::Wave { batch, .. } = q.take_wave(1, 8, NO_PARK) else {
-            panic!("drain ignores home stamps");
+        let Taken::Wave { batch, stolen, .. } = q.take_wave(1, 8, NO_PARK) else {
+            panic!("drain ignores placement");
         };
         assert_eq!(batch.len(), 1);
+        assert!(!stolen);
         assert!(matches!(q.take_wave(0, 8, NO_PARK), Taken::Drained));
         assert!(q.is_drained());
     }
@@ -742,7 +622,7 @@ mod tests {
             "6:scalar@packed".parse().unwrap(),
             "6:scalar".parse().unwrap(),
         ]));
-        let q = ShardedQueue::new(16, PlacePolicy::Costed, placement.clone());
+        let q = ShardedQueue::new(16, placement.clone());
         q.submit(pending(256)).unwrap();
         // Cold calibration: the liar is the modelled argmin; the honest
         // replica parks, and the wave's calibrated cost equals modelled.
@@ -783,7 +663,7 @@ mod tests {
             vec!["26:packed".parse().unwrap(), "4:packed".parse().unwrap()];
         let placement = Arc::new(Placement::new(specs));
         placement.record_measured(1, (256, 256, 256), 1.0, 1.0);
-        let q = ShardedQueue::new(16, PlacePolicy::CostedStealing, placement);
+        let q = ShardedQueue::new(16, placement);
         // Seed the class's delay EWMA with a genuinely ancient dispatch.
         let mut stale = pending(256);
         stale.submitted = Instant::now() - Duration::from_secs(30);
@@ -806,7 +686,7 @@ mod tests {
 
     #[test]
     fn dispatch_feeds_the_queue_delay_ewma() {
-        let q = queue(16, PlacePolicy::CostedStealing, ReplicaSpec::defaults(1));
+        let q = queue(16, ReplicaSpec::defaults(1));
         assert!(q.queue_delays().is_empty(), "no samples before any dispatch");
         let mut p = pending(64);
         p.submitted = Instant::now() - Duration::from_millis(250);
@@ -822,7 +702,7 @@ mod tests {
 
     #[test]
     fn deadline_sweep_returns_expired_entries() {
-        let q = queue(16, PlacePolicy::CostedStealing, ReplicaSpec::defaults(1));
+        let q = queue(16, ReplicaSpec::defaults(1));
         let mut dead = pending(8);
         dead.deadline = Some(Instant::now() - Duration::from_millis(1));
         q.submit(dead).unwrap();

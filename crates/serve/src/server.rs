@@ -7,9 +7,10 @@
 //! 1. asks its breaker for admission (full wave / probe / quarantined) —
 //!    quarantine transitions flip the replica's liveness in the sharded
 //!    queue, so its shard affinity redistributes immediately;
-//! 2. asks [`ShardedQueue::take_wave`] for the shard it should serve
-//!    under the configured [`PlacePolicy`] (sweeping deadline-expired
-//!    entries, which it resolves as [`ServeOutcome::DeadlineMissed`]);
+//! 2. asks [`ShardedQueue::take_wave`] for the shard it should serve —
+//!    its calibrated argmin, or a steal when idle (sweeping
+//!    deadline-expired entries, which it resolves as
+//!    [`ServeOutcome::DeadlineMissed`]);
 //! 3. ticks the escalation ladder and applies the resulting protection
 //!    floor to every request in the wave;
 //! 4. runs the wave through [`BatchGemm::execute_verified`] on its own
@@ -23,7 +24,7 @@
 //!    [`ServeConfig::max_retries`], then resolve as
 //!    [`ServeOutcome::Unrecovered`] and feed the breaker.
 //!
-//! Shutdown closes the queue; dispatchers drain the remainder policy-free
+//! Shutdown closes the queue; dispatchers drain the remainder placement-free
 //! (so every accepted ticket resolves) and exit.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -40,7 +41,7 @@ use aabft_obs::Obs;
 
 use crate::breaker::{Admission, BreakerConfig, CircuitBreaker};
 use crate::ladder::{EscalationLadder, LadderConfig};
-use crate::placement::{PlacePolicy, Placement, ReplicaSpec};
+use crate::placement::{Placement, ReplicaSpec};
 use crate::queue::{Pending, ShardedQueue, Taken};
 use crate::request::{Completed, DeadlineClass, Rejected, ServeOutcome, ServeRequest, Slot, Ticket};
 
@@ -52,13 +53,6 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Maximum requests coalesced into one dispatch wave.
     pub max_wave: usize,
-    /// Placement policy mapping ready waves onto replicas.
-    pub policy: PlacePolicy,
-    /// Whether the costed policies price waves with measured-cost
-    /// feedback (`modelled × calibration ratio`); `false` restores the
-    /// PR-9 static analytic-model pricing. Measurements are recorded
-    /// either way, so the model-error telemetry stays comparable.
-    pub feedback: bool,
     /// Deadline for [`DeadlineClass::Interactive`] requests.
     pub interactive_deadline: Duration,
     /// Deadline for [`DeadlineClass::Batch`] requests.
@@ -80,8 +74,6 @@ impl Default for ServeConfig {
         ServeConfig {
             queue_capacity: 256,
             max_wave: 8,
-            policy: PlacePolicy::default(),
-            feedback: true,
             interactive_deadline: Duration::from_millis(20),
             batch_deadline: Duration::from_millis(500),
             max_retries: 2,
@@ -276,7 +268,6 @@ impl std::fmt::Debug for Server {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Server")
             .field("replicas", &self.shared.replicas.len())
-            .field("policy", &self.shared.cfg.policy)
             .field("queue_len", &self.shared.queue.len())
             .finish_non_exhaustive()
     }
@@ -310,13 +301,12 @@ impl Server {
                 }
             })
             .collect();
-        let placement = Arc::new(Placement::with_feedback(
+        let placement = Arc::new(Placement::new(
             replicas.iter().map(|r| r.spec.clone()).collect(),
-            cfg.feedback,
         ));
         let shared = Arc::new(Shared {
             cfg,
-            queue: ShardedQueue::new(cfg.queue_capacity, cfg.policy, placement.clone()),
+            queue: ShardedQueue::new(cfg.queue_capacity, placement.clone()),
             placement,
             ladder: EscalationLadder::new(cfg.ladder),
             engine: BatchGemm::new(gemm).with_streams(cfg.max_wave),
@@ -370,7 +360,6 @@ impl Server {
             deadline,
             not_before: None,
             retries: 0,
-            home: 0, // stamped by the queue at admission
         };
         match self.shared.queue.submit(pending) {
             Ok(()) => {

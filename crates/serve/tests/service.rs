@@ -14,7 +14,7 @@ use aabft_obs::Obs;
 use aabft_serve::bench::{run_bench, BenchConfig, TenantMix};
 use aabft_serve::ladder::LadderConfig;
 use aabft_serve::{
-    BreakerConfig, BreakerState, DeadlineClass, PlacePolicy, ReplicaSpec, ServeConfig,
+    BreakerConfig, BreakerState, DeadlineClass, ReplicaSpec, ServeConfig,
     ServeError, ServeOutcome, ServeRequest, Server,
 };
 
@@ -314,37 +314,36 @@ fn invalid_configs_are_rejected_with_typed_errors() {
     assert!(msg.contains("queue_capacity"), "message names the field: {msg}");
 }
 
-/// Satellite 3: the same request stream over one fast and two slow
-/// replicas yields bit-identical products under every placement policy —
-/// placement and steal interleaving affect *where* a GEMM runs, never
-/// its result — and the accounting closes under each.
+/// The same request stream over a single replica and over one fast and
+/// two slow replicas yields bit-identical products — placement and steal
+/// interleaving affect *where* a GEMM runs, never its result — and the
+/// accounting closes on both fleets.
 #[test]
-fn heterogeneous_replicas_are_bit_identical_across_policies() {
-    let fleet: Vec<ReplicaSpec> = vec![
+fn heterogeneous_replicas_are_bit_identical_across_fleets() {
+    let single: Vec<ReplicaSpec> = vec!["13".parse().expect("valid spec")];
+    let mixed: Vec<ReplicaSpec> = vec![
         "26:packed".parse().expect("valid spec"),
         "6:scalar".parse().expect("valid spec"),
         "6:scalar".parse().expect("valid spec"),
     ];
     let total = 24;
-    let mut reference: Option<Vec<Matrix<f64>>> = None;
-
-    for policy in [PlacePolicy::RoundRobin, PlacePolicy::Costed, PlacePolicy::CostedStealing] {
-        let cfg = ServeConfig { policy, queue_capacity: 64, ..ServeConfig::default() };
+    let run = |fleet: Vec<ReplicaSpec>| -> Vec<Matrix<f64>> {
+        let replicas = fleet.len();
+        let cfg = ServeConfig { queue_capacity: 64, ..ServeConfig::default() };
         let obs = Obs::new_shared();
-        let server = Server::start(cfg, small_gemm(), fleet.clone(), obs.clone())
-            .expect("valid test config");
+        let server =
+            Server::start(cfg, small_gemm(), fleet, obs.clone()).expect("valid test config");
         let tickets: Vec<_> = (0..total)
             .map(|r| {
-                let (a, b) = operands(r);
                 // Mix shapes so both shard classes and both engines see
-                // traffic under every policy.
+                // traffic.
                 let (a, b) = if r % 3 == 0 {
                     (
                         Matrix::from_fn(32, 32, |i, j| ((r + i * 7 + j) as f64 * 0.11).sin()),
                         Matrix::from_fn(32, 32, |i, j| ((r * 3 + i + j) as f64 * 0.19).cos()),
                     )
                 } else {
-                    (a, b)
+                    operands(r)
                 };
                 server
                     .submit(ServeRequest::new(a, b).with_class(DeadlineClass::Unbounded))
@@ -352,35 +351,29 @@ fn heterogeneous_replicas_are_bit_identical_across_policies() {
             })
             .collect();
         server.shutdown();
-
-        let products: Vec<Matrix<f64>> = tickets
+        assert_eq!(obs.metrics.counter("serve.completed"), total as u64);
+        tickets
             .into_iter()
             .map(|t| match t.wait() {
                 ServeOutcome::Completed(c) => {
-                    assert!(c.replica < fleet.len());
+                    assert!(c.replica < replicas);
                     c.product
                 }
                 other => panic!("fault-free unbounded requests complete, got {other:?}"),
             })
-            .collect();
-        assert_eq!(obs.metrics.counter("serve.completed"), total as u64);
-        match &reference {
-            None => reference = Some(products),
-            Some(reference) => {
-                for (i, (got, want)) in products.iter().zip(reference).enumerate() {
-                    assert_eq!(
-                        got.as_slice(),
-                        want.as_slice(),
-                        "request {i} differs under {policy:?} — placement must not \
-                         change numerics"
-                    );
-                }
-            }
-        }
+            .collect()
+    };
+    let reference = run(single);
+    for (i, (got, want)) in run(mixed).iter().zip(&reference).enumerate() {
+        assert_eq!(
+            got.as_slice(),
+            want.as_slice(),
+            "request {i} differs across fleets — placement must not change numerics"
+        );
     }
 }
 
-/// The costed policies place heavy shapes on the fast replica: after a
+/// Costed placement puts heavy shapes on the fast replica: after a
 /// skewed stream drains, the big-GEMM waves ran on the packed 26-SM
 /// replica, not the scalar stragglers.
 #[test]
@@ -389,11 +382,7 @@ fn costed_placement_routes_heavy_shapes_to_the_fast_replica() {
         "26:packed".parse().expect("valid spec"),
         "6:scalar".parse().expect("valid spec"),
     ];
-    let cfg = ServeConfig {
-        policy: PlacePolicy::Costed,
-        queue_capacity: 64,
-        ..ServeConfig::default()
-    };
+    let cfg = ServeConfig { queue_capacity: 64, ..ServeConfig::default() };
     let obs = Obs::new_shared();
     let server =
         Server::start(cfg, small_gemm(), fleet, obs.clone()).expect("valid test config");
@@ -411,8 +400,8 @@ fn costed_placement_routes_heavy_shapes_to_the_fast_replica() {
                 .expect("admitted")
         })
         .collect();
-    // Wait before shutdown: the post-close drain is deliberately
-    // policy-free, so judging placement there would be meaningless.
+    // Wait before shutdown: the post-close drain deliberately ignores
+    // placement, so judging placement there would be meaningless.
     for t in tickets {
         match t.wait() {
             ServeOutcome::Completed(c) => assert_eq!(
@@ -438,7 +427,6 @@ fn feedback_calibration_stops_routing_heavy_waves_to_the_liar() {
         "13:scalar@packed".parse().expect("valid spec"),
     ];
     let cfg = ServeConfig {
-        policy: PlacePolicy::Costed,
         queue_capacity: 64,
         // One request per wave: each request is one measured sample, so
         // the warm-up schedule below is exact.

@@ -5,8 +5,8 @@
 //! cargo run --release --example fault_campaign
 //! ```
 
-use aabft::baselines::{AAbftScheme, SeaAbft};
-use aabft::core::AAbftConfig;
+use aabft::baselines::SeaAbft;
+use aabft::core::{AAbftConfig, AAbftGemm};
 use aabft::faults::bitflip::BitRegion;
 use aabft::faults::campaign::{run_campaign, CampaignConfig};
 use aabft::faults::plan::{FaultSpec, InjectScope};
@@ -38,7 +38,7 @@ fn main() {
             faults_per_run: 1,
             scope: InjectScope::GemmSites,
         };
-        let aabft = AAbftScheme::new(
+        let aabft = AAbftGemm::new(
             AAbftConfig::builder().block_size(bs).tiling(tiling).build().expect("valid config"),
         );
         let ra = run_campaign(&aabft, &config);

@@ -1,8 +1,8 @@
 //! Integration tests of the fault-injection stack: detection guarantees per
 //! bit region, A-ABFT vs SEA ordering, multi-bit behaviour and TMR voting.
 
-use aabft::baselines::{AAbftScheme, SeaAbft, TmrGemm};
-use aabft::core::AAbftConfig;
+use aabft::baselines::{SeaAbft, TmrGemm};
+use aabft::core::{AAbftConfig, AAbftGemm};
 use aabft::faults::bitflip::BitRegion;
 use aabft::faults::campaign::{run_campaign, CampaignConfig};
 use aabft::faults::plan::{FaultSpec, InjectScope};
@@ -29,8 +29,8 @@ fn campaign(site: FaultSite, region: BitRegion, bits: u32, trials: usize) -> Cam
     }
 }
 
-fn aabft() -> AAbftScheme {
-    AAbftScheme::new(AAbftConfig::builder().block_size(8).tiling(tiling()).build().expect("valid config"))
+fn aabft() -> AAbftGemm {
+    AAbftGemm::new(AAbftConfig::builder().block_size(8).tiling(tiling()).build().expect("valid config"))
 }
 
 #[test]
