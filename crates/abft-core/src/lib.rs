@@ -44,14 +44,10 @@ pub mod config;
 pub mod correct;
 pub mod encoding;
 pub mod error;
-pub mod error_map;
-pub mod gemv;
 pub mod heal;
 pub mod kernels;
-pub mod lu;
 pub mod pmax;
 pub mod recover;
-pub mod weighted;
 
 pub use aabft::{AAbftGemm, AAbftOutcome, GemmPlan, MultiplyRun, RunBuffers};
 pub use batch::{BatchGemm, GemmRequest, ProtectionPolicy};

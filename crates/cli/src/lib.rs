@@ -8,7 +8,8 @@
 //!
 //! Every subcommand accepts `--trace <path>` (Chrome trace-event JSON,
 //! loadable in Perfetto / `chrome://tracing`) and `--metrics <path>`
-//! (metrics-registry snapshot as JSON); see [`ObsSession`].
+//! (metrics-registry snapshot as JSON); see the OBSERVABILITY section of
+//! [`usage`].
 
 #![warn(missing_docs)]
 
@@ -133,10 +134,6 @@ COMMANDS
                                  collapsed format, values in modelled µs)
              --folded-sm <path>  per-SM variant (load balance; per-SM times
                                  overlap, totals are not pipeline time)
-  gemv       protected matrix-vector multiply (optionally with a fault)
-             --n 128 --bs 16 --inject true --recompute true
-  lu         protected LU factorization
-             --n 64 --check-every 8
   serve      ABFT-as-a-service load/chaos bench: shape-sharded admission,
              one placement rule (calibrated PerfModel-costed placement
              with work stealing), deadline classes, EWMA escalation
@@ -492,64 +489,6 @@ pub fn cmd_bounds(args: &Args) {
         row.avg_aabft / row.avg_rnd_error);
     println!("  avg SEA-ABFT bound       : {:.3e}  ({:.0}x the error)", row.avg_sea,
         row.avg_sea / row.avg_rnd_error);
-    session.finish(&[]);
-}
-
-/// `aabft gemv` — protected matrix–vector multiply on the device.
-pub fn cmd_gemv(args: &Args) {
-    use aabft_core::gemv::protected_gemv_on_device;
-    use aabft_gpu_sim::kernels::gemv::GemvTiling;
-    let session = ObsSession::begin(args);
-    let n = args.get("n", 128usize);
-    let mut rng = rand::rngs::StdRng::seed_from_u64(args.get("seed", 1u64));
-    let a = parse_input(args).generate(n, &mut rng);
-    let x: Vec<f64> = (0..n).map(|_| rand::Rng::gen_range(&mut rng, -1.0..1.0)).collect();
-    let config = build_config(args);
-    let device = Device::with_defaults();
-    if args.get("inject", false) {
-        let bs = config.block_size;
-        let tiling = GemvTiling { bm: bs.min(64), rx: if bs.is_multiple_of(4) { 4 } else { 1 } };
-        let _ = tiling;
-        device.arm_injection(InjectionPlan {
-            sm: args.get("sm", 0usize),
-            site: parse_site(args),
-            module: args.get("module", 0usize),
-            k_injection: args.get("k", 40u64),
-            mask: 1u64 << args.get("bit", 61u32),
-        });
-    }
-    let outcome = protected_gemv_on_device(&device, &a, &x, &config);
-    let fired = device.disarm_injection();
-    println!("protected GEMV: n = {n}");
-    println!("  fault fired        : {fired}");
-    println!("  errors detected    : {}", outcome.errors_detected());
-    println!("  mismatched blocks  : {:?}", outcome.mismatched_blocks);
-    println!("  entries recomputed : {}", outcome.corrections.len());
-    session.finish(&device.take_log());
-}
-
-/// `aabft lu` — protected LU factorization.
-pub fn cmd_lu(args: &Args) {
-    use aabft_core::lu::{protected_lu_verified, LuConfig};
-    let session = ObsSession::begin(args);
-    let n = args.get("n", 64usize);
-    let mut rng = rand::rngs::StdRng::seed_from_u64(args.get("seed", 1u64));
-    let base = parse_input(args).generate(n, &mut rng);
-    // Diagonal boost keeps elimination well-conditioned for arbitrary input
-    // classes.
-    let a = aabft_matrix::Matrix::from_fn(n, n, |i, j| {
-        if i == j { base[(i, j)] + n as f64 } else { base[(i, j)] }
-    });
-    let config = LuConfig {
-        check_every: args.get("check-every", 8usize),
-        omega: args.get("omega", 3.0),
-        ..Default::default()
-    };
-    let (outcome, dev) = protected_lu_verified(&a, &config);
-    println!("protected LU: n = {n}, check every {} steps", config.check_every);
-    println!("  checksum violations : {}", outcome.violations.len());
-    println!("  reconstruction dev  : {dev:.3e}");
-    println!("  verdict             : {}", if outcome.errors_detected() { "ERRORS" } else { "clean" });
     session.finish(&[]);
 }
 
@@ -1390,8 +1329,6 @@ mod tests {
             ("assert-zero-sdc", "true"),
             ("assert-zero-unrecovered", "true"),
         ]));
-        cmd_gemv(&args(&[("n", "48"), ("bs", "8"), ("inject", "true"), ("recompute", "true")]));
-        cmd_lu(&args(&[("n", "32"), ("check-every", "4")]));
         cmd_profile(&args(&[("n", "48"), ("bs", "8")]));
     }
 

@@ -10,8 +10,8 @@
 //! ```
 
 use aabft_cli::{
-    cmd_batch, cmd_bounds, cmd_campaign, cmd_gemv, cmd_inject, cmd_lu, cmd_multiply, cmd_perf,
-    cmd_profile, cmd_report, cmd_serve, usage,
+    cmd_batch, cmd_bounds, cmd_campaign, cmd_inject, cmd_multiply, cmd_perf, cmd_profile,
+    cmd_report, cmd_serve, usage,
 };
 
 fn main() {
@@ -31,8 +31,6 @@ fn main() {
         "perf" => cmd_perf(&parsed),
         "profile" => cmd_profile(&parsed),
         "report" => cmd_report(&parsed),
-        "gemv" => cmd_gemv(&parsed),
-        "lu" => cmd_lu(&parsed),
         "serve" => cmd_serve(&parsed),
         "help" | "--help" | "-h" => println!("{}", usage()),
         other => {

@@ -27,7 +27,6 @@
 
 pub mod bitflip;
 pub mod campaign;
-pub mod gemv_campaign;
 pub mod outcome;
 pub mod plan;
 

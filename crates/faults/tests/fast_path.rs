@@ -11,7 +11,6 @@ use aabft_faults::campaign::run_selfheal_campaign;
 use aabft_faults::{BitRegion, CampaignConfig, FaultSpec, InjectScope};
 use aabft_gpu_sim::kernels::compare::CompareKernel;
 use aabft_gpu_sim::kernels::gemm::GemmTiling;
-use aabft_gpu_sim::kernels::gemv::{GemvKernel, GemvTiling};
 use aabft_gpu_sim::{
     Device, DeviceBuffer, FaultScope, FaultSite, InjectionPlan, KernelFaultPlan, LaunchRecord,
     MemoryFaultPlan,
@@ -324,29 +323,6 @@ fn any_armed_plan_disables_the_clean_path() {
     // Disarmed again: the clean path resumes.
     gemm.multiply(&device, &a, &b);
     assert!(device.clean_path_launches() > 0, "clean path resumes after disarm");
-}
-
-#[test]
-fn standalone_gemv_matches_instrumented() {
-    let (m, n) = (128, 96);
-    let a = Matrix::from_fn(m, n, |i, j| ((i * 3 + j) as f64 * 0.01).sin());
-    let x: Vec<f64> = (0..n).map(|k| ((k * 13) as f64 * 0.07).cos()).collect();
-    let run = |force: bool| {
-        let device = Device::with_defaults();
-        device.set_force_instrumented(force);
-        let da = DeviceBuffer::from_matrix(&a);
-        let dx = DeviceBuffer::from_vec(x.clone());
-        let dy = DeviceBuffer::zeros(m);
-        let kernel = GemvKernel::new(&da, &dx, &dy, m, n, GemvTiling::default());
-        let stats = device.launch(kernel.grid(), &kernel);
-        (dy.to_vec(), stats, device.take_log(), device.clean_path_launches())
-    };
-    let (y_clean, s_clean, log_clean, launches) = run(false);
-    let (y_inst, s_inst, log_inst, _) = run(true);
-    assert_eq!(launches, 1, "gemv must take the clean path");
-    assert_eq!(y_clean, y_inst, "bit-identical y vector");
-    assert_eq!(s_clean, s_inst, "identical merged stats");
-    assert_logs_identical(&log_clean, &log_inst);
 }
 
 #[test]

@@ -5,5 +5,4 @@
 //! `aabft-baselines`.
 
 pub mod compare;
-pub mod gemv;
 pub mod gemm;

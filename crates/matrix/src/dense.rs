@@ -101,11 +101,6 @@ impl<T: Real> Matrix<T> {
         (self.rows, self.cols)
     }
 
-    /// `true` if the matrix is square.
-    pub fn is_square(&self) -> bool {
-        self.rows == self.cols
-    }
-
     /// Borrows the backing row-major storage.
     pub fn as_slice(&self) -> &[T] {
         &self.data

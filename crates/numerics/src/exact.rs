@@ -5,7 +5,7 @@
 //! of a floating-point computation relative to its infinitely precise value
 //! (used as ground truth in Tables II–IV and for fault classification).
 
-use crate::superacc::{accumulate_dot, Superaccumulator};
+use crate::superacc::accumulate_dot;
 
 /// Exact rounding error of a sequentially computed floating-point dot
 /// product: `fl(Σ a_k·b_k) − Σ a_k·b_k`, with the exact part correctly
@@ -45,17 +45,6 @@ pub fn dot_rounding_error(a: &[f64], b: &[f64]) -> (f64, f64) {
 /// a blocked GPU-simulator kernel with a different summation order).
 pub fn rounding_error_of(computed: f64, a: &[f64], b: &[f64]) -> f64 {
     let mut acc = accumulate_dot(a, b);
-    acc.negate();
-    acc.add(computed);
-    acc.round()
-}
-
-/// Exact rounding error of a computed sum against the exact sum of `xs`.
-pub fn sum_rounding_error(computed: f64, xs: &[f64]) -> f64 {
-    let mut acc = Superaccumulator::new();
-    for &x in xs {
-        acc.add(x);
-    }
     acc.negate();
     acc.add(computed);
     acc.round()
@@ -105,14 +94,5 @@ mod tests {
         let b = [0.2, -0.8, 0.4, 0.5];
         let (c, e) = dot_rounding_error(&a, &b);
         assert_eq!(rounding_error_of(c, &a, &b), e);
-    }
-
-    #[test]
-    fn sum_error() {
-        let xs = vec![0.1; 10];
-        let computed: f64 = xs.iter().sum();
-        let e = sum_rounding_error(computed, &xs);
-        // fl(sum of ten 0.1) differs from the exact sum by a tiny amount.
-        assert!(e.abs() > 0.0 && e.abs() < 1e-15);
     }
 }

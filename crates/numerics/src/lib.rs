@@ -38,7 +38,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod bits;
-pub mod compensated;
 pub mod distribution;
 pub mod eft;
 pub mod exact;

@@ -30,7 +30,7 @@
 //! * [`server`] — [`Server`]: one dispatcher thread per replica device,
 //!   waves through [`BatchGemm`], retry-with-backoff around heal
 //!   budgets;
-//! * [`chaos`] + [`bench`] — the seeded fault [`Storm`], the
+//! * [`chaos`] + [`mod@bench`] — the seeded fault [`Storm`], the
 //!   open-loop load generator behind `aabft serve` and
 //!   `BENCH_serve.json`, and the placement matrix that races the server
 //!   against a blind round-robin baseline built in the harness.

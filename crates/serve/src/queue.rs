@@ -4,8 +4,8 @@
 //!
 //! Admitted requests land in *shards* keyed by their rounded shape class
 //! ([`shape_class`]), so the batch engine's plan/pack caches stay hot
-//! per shard, and each dispatcher asks [`ShardedQueue::take_wave`] for
-//! the shard it is *best suited for*:
+//! per shard, and each dispatcher asks the queue (`take_wave`) for the
+//! shard it is *best suited for*:
 //!
 //! * **Own take.** A dispatcher takes a shard when it is the argmin of
 //!   `inflight + wave_cost` over live replicas, where wave costs are
@@ -22,8 +22,8 @@
 //!
 //! The queue also maintains the observed-delay signal itself: every
 //! dispatched entry contributes its admit→dispatch age to its shard
-//! class's EWMA ([`ShardedQueue::queue_delays`]), which the server
-//! exports as `serve.shard.{class}.queue_delay_us` gauges.
+//! class's EWMA, which the [`Server`] exports as
+//! `serve.shard.{class}.queue_delay_us` gauges.
 //!
 //! Built on `std::sync::{Mutex, Condvar}` (the parking_lot shim carries
 //! no condvar); one mutex guards all shards, which keeps placement
@@ -32,6 +32,7 @@
 //! behind a placement decision during shutdown.
 //!
 //! [`Placement`]: crate::placement::Placement
+//! [`Server`]: crate::server::Server
 //! [`PerfModel`]: aabft_gpu_sim::perf::PerfModel
 
 use std::collections::{HashMap, VecDeque};

@@ -8,7 +8,7 @@
 //!
 //! [`Server::submit`]: crate::server::Server::submit
 
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
 use aabft_core::batch::ProtectionPolicy;
@@ -187,8 +187,12 @@ pub(crate) struct Slot {
 }
 
 impl Slot {
+    /// Stores the outcome and wakes the waiter. Tolerates a poisoned lock
+    /// (the slot holds a plain `Option`, valid after any store), because a
+    /// dispatcher that unwinds resolves its wave from a `Drop`, which must
+    /// not panic.
     pub(crate) fn resolve(&self, outcome: ServeOutcome) {
-        let mut guard = self.outcome.lock().expect("slot lock");
+        let mut guard = self.outcome.lock().unwrap_or_else(PoisonError::into_inner);
         debug_assert!(guard.is_none(), "a request must resolve exactly once");
         *guard = Some(outcome);
         self.ready.notify_all();

@@ -7,7 +7,7 @@
 //! 1. asks its breaker for admission (full wave / probe / quarantined) —
 //!    quarantine transitions flip the replica's liveness in the sharded
 //!    queue, so its shard affinity redistributes immediately;
-//! 2. asks [`ShardedQueue::take_wave`] for the shard it should serve —
+//! 2. asks the [`queue`](crate::queue) for the shard it should serve —
 //!    its calibrated argmin, or a steal when idle (sweeping
 //!    deadline-expired entries, which it resolves as
 //!    [`ServeOutcome::DeadlineMissed`]);
@@ -452,8 +452,9 @@ impl Server {
     ///
     /// # Panics
     ///
-    /// Propagates a dispatcher panic (none are expected; a panicked
-    /// dispatcher would strand tickets).
+    /// Propagates a dispatcher panic (none are expected). The requests of
+    /// the wave that dispatcher held have already resolved as
+    /// [`ServeOutcome::Unrecovered`], so no ticket is stranded by it.
     pub fn shutdown(self) {
         self.shared.queue.close();
         for w in self.workers {
@@ -518,24 +519,59 @@ fn thread_runtime_s() -> Option<f64> {
     Some(ns as f64 / 1e9)
 }
 
+/// The requests of one wave that have not reached an outcome yet. A
+/// request leaves through [`OpenWave::take`] to be resolved or requeued;
+/// if the dispatcher unwinds mid-wave, dropping the guard resolves every
+/// request it still holds as [`ServeOutcome::Unrecovered`], counted like
+/// any other resolution. No ticket then waits on a dead dispatcher, and
+/// [`Server::accounting`] still balances.
+struct OpenWave<'a> {
+    shared: &'a Shared,
+    open: Vec<Option<Pending>>,
+}
+
+impl<'a> OpenWave<'a> {
+    fn new(shared: &'a Shared, batch: Vec<Pending>) -> Self {
+        OpenWave { shared, open: batch.into_iter().map(Some).collect() }
+    }
+
+    fn get(&self, i: usize) -> &Pending {
+        self.open[i].as_ref().expect("request still in the wave")
+    }
+
+    fn take(&mut self, i: usize) -> Pending {
+        self.open[i].take().expect("request still in the wave")
+    }
+}
+
+impl Drop for OpenWave<'_> {
+    fn drop(&mut self) {
+        for pending in self.open.iter_mut().filter_map(Option::take) {
+            let outcome = ServeOutcome::Unrecovered { attempts: 0, retries: pending.retries };
+            self.shared.resolve(pending, outcome);
+        }
+    }
+}
+
 fn run_wave(
     shared: &Shared,
     idx: usize,
-    mut batch: Vec<Pending>,
+    batch: Vec<Pending>,
     cost: f64,
     modelled: f64,
     stolen: bool,
 ) {
+    let mut wave = OpenWave::new(shared, batch);
     let replica = &shared.replicas[idx];
     let metrics = &shared.obs.metrics;
     let level = shared.ladder.observe(metrics);
-    let (m, n, q) = batch[0].shape_key();
+    let (m, n, q) = wave.get(0).shape_key();
     let _wave = aabft_obs::span!(
         shared.obs,
         "serve",
         "wave",
         "replica" => idx as u64,
-        "requests" => batch.len() as u64,
+        "requests" => wave.open.len() as u64,
         "level" => format!("{level:?}"),
         "stolen" => u64::from(stolen),
         "m" => m as u64,
@@ -550,17 +586,19 @@ fn run_wave(
         metrics.counter_inc(&format!("serve.replica.{idx}.steals"));
         replica.steals.fetch_add(1, Ordering::Relaxed);
     }
-    metrics.observe("serve.wave_size", batch.len() as f64);
+    metrics.observe("serve.wave_size", wave.open.len() as f64);
     metrics.gauge_set(&format!("serve.replica.{idx}.busy"), 1.0);
 
     let effective: Vec<ProtectionPolicy> =
-        batch.iter().map(|p| shared.ladder.apply(p.policy, level)).collect();
+        wave.open.iter().flatten().map(|p| shared.ladder.apply(p.policy, level)).collect();
     // Move the operands into the requests rather than copy them: a 256³
     // pair is 1 MB, and under a burst both dispatchers' allocators would
     // each have to hold a wave's worth of copies. A failed request gets
     // its operands back for the retry.
-    let requests: Vec<GemmRequest> = batch
+    let requests: Vec<GemmRequest> = wave
+        .open
         .iter_mut()
+        .flatten()
         .zip(&effective)
         .map(|(p, &policy)| {
             let a = std::mem::replace(&mut p.a, Matrix::zeros(1, 1));
@@ -617,10 +655,11 @@ fn run_wave(
     let _ = replica.device.take_log();
 
     let now = Instant::now();
-    for ((pending, result), request) in batch.into_iter().zip(results).zip(requests) {
+    for (i, (result, request)) in results.into_iter().zip(requests).enumerate() {
         match result {
             Ok(healed) => {
                 replica.breaker.record_success();
+                let pending = wave.get(i);
                 let latency = now.duration_since(pending.submitted);
                 let late = pending.deadline.is_some_and(|d| now > d);
                 if late {
@@ -637,7 +676,7 @@ fn run_wave(
                     latency,
                     replica: idx,
                 });
-                shared.resolve(pending, outcome);
+                shared.resolve(wave.take(i), outcome);
             }
             Err(err) => {
                 let attempts = match err {
@@ -653,7 +692,7 @@ fn run_wave(
                 if tripped {
                     metrics.counter_inc("serve.breaker_trips");
                 }
-                let mut pending = pending;
+                let mut pending = wave.take(i);
                 pending.a = request.a;
                 pending.b = request.b;
                 if pending.retries < shared.cfg.max_retries {
@@ -669,5 +708,61 @@ fn run_wave(
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use aabft_core::AAbftConfig;
+
+    fn pending(n: usize) -> Pending {
+        Pending {
+            a: Matrix::from_fn(n, n, |i, j| (i + j) as f64),
+            b: Matrix::from_fn(n, n, |i, j| (i * j + 1) as f64),
+            policy: ProtectionPolicy::AAbft,
+            class: DeadlineClass::Unbounded,
+            slot: Arc::new(Slot::default()),
+            submitted: Instant::now(),
+            deadline: None,
+            not_before: None,
+            retries: 0,
+        }
+    }
+
+    #[test]
+    fn unwinding_dispatcher_resolves_every_open_request_of_its_wave() {
+        let gemm = AAbftGemm::new(AAbftConfig::builder().block_size(4).build().unwrap());
+        let server =
+            Server::start(ServeConfig::default(), gemm, ReplicaSpec::defaults(1), Obs::new_shared())
+                .expect("valid test config");
+        let shared = &*server.shared;
+        let batch: Vec<Pending> = (0..3).map(|_| pending(8)).collect();
+        let tickets: Vec<Ticket> = batch.iter().map(|p| Ticket { slot: p.slot.clone() }).collect();
+        shared.accepted.fetch_add(batch.len() as u64, Ordering::Relaxed);
+
+        // The dispatcher resolves the wave's first request, then dies.
+        let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut wave = OpenWave::new(shared, batch);
+            let first = wave.take(0);
+            let outcome =
+                ServeOutcome::DeadlineMissed { class: first.class, waited: Duration::ZERO };
+            shared.resolve(first, outcome);
+            panic!("dispatcher fault mid-wave");
+        }));
+        assert!(died.is_err());
+
+        let outcomes: Vec<&str> = tickets
+            .iter()
+            .map(|t| {
+                let outcome = t.try_wait().expect("ticket resolved").label();
+                assert!(t.try_wait().is_none(), "a ticket resolves exactly once");
+                outcome
+            })
+            .collect();
+        assert_eq!(outcomes, ["deadline-missed", "unrecovered", "unrecovered"]);
+        assert_eq!(server.accounting(), (3, 3));
+        assert_eq!(shared.obs.metrics.counter("serve.unrecovered"), 2);
+        server.shutdown();
     }
 }

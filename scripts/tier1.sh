@@ -3,8 +3,9 @@
 #
 #   scripts/tier1.sh
 #
-# Runs the release build, the full test suite, and clippy with warnings
-# denied, stopping at the first failure.
+# Runs the release build, the full test suite, clippy and rustdoc with
+# warnings denied, and the smokes and gates below, stopping at the first
+# failure.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -27,6 +28,12 @@ cargo clippy -p aabft-obs --all-targets -- -D warnings
 cargo clippy -p aabft-core --all-targets -- -D warnings
 # The service layer (queue, ladder, breaker, chaos bench) likewise.
 cargo clippy -p aabft-serve --all-targets -- -D warnings
+
+# Rustdoc with warnings denied: an intra-doc link to a deleted or private
+# item, or an ambiguous one, fails the build instead of rendering as
+# plain text.
+echo "==> cargo doc --workspace --no-deps (rustdoc warnings denied)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 # Deterministic-seed fault-campaign smoke: exponent flips must stay >= 90%
 # detected on the plain scheme, and the self-healing executor must release

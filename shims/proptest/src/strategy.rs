@@ -152,7 +152,7 @@ impl<V> Strategy for OneOf<V> {
     }
 }
 
-/// Size specification for [`vec`]: a fixed length or a length range.
+/// Size specification for [`vec()`]: a fixed length or a length range.
 pub trait IntoSizeRange {
     /// Inclusive `(min, max)` length bounds.
     fn bounds(self) -> (usize, usize);
@@ -183,7 +183,7 @@ pub fn vec<S: Strategy>(element: S, size: impl IntoSizeRange) -> VecStrategy<S> 
     VecStrategy { element, min, max }
 }
 
-/// Result of [`vec`].
+/// Result of [`vec()`].
 pub struct VecStrategy<S> {
     element: S,
     min: usize,

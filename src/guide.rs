@@ -82,26 +82,15 @@
 //!
 //! ## 5. Extensions beyond the paper
 //!
-//! * [`aabft_core::weighted`] — weighted checksums (the paper's ref. 11):
-//!   single-error localisation from two checksum deviations;
-//! * [`aabft_core::gemv`] / [`aabft_core::lu`] — the "other operations" the
-//!   paper's Section I gestures at, protected with the same autonomous
-//!   bounds;
 //! * [`aabft_core::recover`] — the recovery ladder (repair / selective
 //!   block recompute);
-//! * [`aabft_core::error_map`] — the per-element "error functions"
-//!   by-product of Section I;
-//! * [`aabft_numerics::compensated`] — compensated summation for cheap
-//!   near-exact references.
+//! * [`aabft_core::heal::SelfHealingGemm`] — the verified-release loop that
+//!   climbs that ladder until the check passes or the budget runs out.
 //!
 //! ```
-//! // Extension one-liner: locate an error without row checksums.
-//! use aabft::core::weighted::weighted_protected_multiply;
-//! use aabft::matrix::Matrix;
+//! use aabft::core::RecoveryAction;
 //!
-//! let a = Matrix::from_fn(8, 8, |i, j| ((i + j) as f64 * 0.4).sin());
-//! let b = Matrix::identity(8);
-//! let (product, findings) = weighted_protected_multiply(&a, &b, 4, 2, 3.0);
-//! assert!(findings.is_empty());
-//! assert!(product.approx_eq(&a, 1e-12));
+//! // The ladder's rungs, in escalation order.
+//! assert!(RecoveryAction::Corrected < RecoveryAction::Recomputed);
+//! assert!(RecoveryAction::Reran < RecoveryAction::Unrecovered);
 //! ```

@@ -167,62 +167,6 @@ proptest! {
     }
 }
 
-proptest! {
-    #[test]
-    fn protected_lu_reconstructs_and_stays_quiet(
-        n_blocks in 2usize..6,
-        seed in 0u64..500,
-    ) {
-        use aabft::core::lu::{protected_lu_verified, LuConfig};
-        use aabft::matrix::gen::InputClass;
-        use rand::SeedableRng;
-        let n = n_blocks * 8;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let a = InputClass::UNIT.generate(n, &mut rng);
-        let (outcome, dev) = protected_lu_verified(&a, &LuConfig::default());
-        prop_assert!(!outcome.errors_detected(), "{:?}", outcome.violations);
-        prop_assert!(dev < 1e-9, "reconstruction dev {dev}");
-        // Permutation is a bijection.
-        let mut seen = vec![false; n];
-        for &p in &outcome.perm {
-            prop_assert!(!seen[p]);
-            seen[p] = true;
-        }
-    }
-
-    #[test]
-    fn weighted_checksums_locate_any_single_error(
-        row in 0usize..16,
-        col in 0usize..16,
-        magnitude_exp in -4i32..2,
-        seed in 0u64..200,
-    ) {
-        use aabft::core::weighted::{check_weighted, encode_weighted_columns};
-        use aabft::core::pmax::PMaxTable;
-        use aabft::matrix::gen::InputClass;
-        use aabft::matrix::gemm;
-        use rand::SeedableRng;
-        let n = 16;
-        let bs = 4;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let a = InputClass::UNIT.generate(n, &mut rng);
-        let b = InputClass::UNIT.generate(n, &mut rng);
-        let enc = encode_weighted_columns(&a, bs);
-        let mut c = gemm::multiply(&enc.matrix, &b);
-        let delta = (10.0f64).powi(magnitude_exp);
-        c[(row, col)] += delta;
-        let pmax_a = PMaxTable::of_rows(&enc.matrix, 2);
-        let pmax_b = PMaxTable::of_cols(&b, 2);
-        let findings = check_weighted(
-            &enc, &c, &pmax_a, &pmax_b, n, 3.0, &RoundingModel::binary64());
-        // delta >= 1e-4 on O(1) data is far above the bound: must be found
-        // and located exactly.
-        prop_assert_eq!(findings.len(), 1, "{:?}", findings);
-        prop_assert_eq!((findings[0].row, findings[0].col), (row, col));
-        prop_assert!((findings[0].delta - delta).abs() < 1e-8 * delta);
-    }
-}
-
 #[test]
 fn proptest_regression_superacc_tie() {
     // Deterministic check of a historically tricky tie case.
