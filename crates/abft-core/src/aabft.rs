@@ -33,7 +33,6 @@ use crate::recover::{apply_policy, RecomputeBlocksKernel, RecoveryOutcome};
 use aabft_gpu_sim::device::{Device, Kernel};
 use aabft_gpu_sim::kernels::gemm::GemmKernel;
 use aabft_gpu_sim::mem::DeviceBuffer;
-use aabft_gpu_sim::pack::PackPool;
 use aabft_gpu_sim::{ConfigError, ExecCtx};
 use aabft_matrix::Matrix;
 
@@ -100,7 +99,7 @@ pub struct GemmPlan {
 /// The device buffers one protected multiplication works in. Sized by a
 /// [`GemmPlan`], so the batch engine pools them per plan key and reuses
 /// them across requests of the same shape ([`RunBuffers::reset`] rezeros
-/// between uses).
+/// between uses; freshly allocated buffers start zeroed and skip it).
 #[derive(Debug)]
 pub struct RunBuffers {
     /// Augmented `A` operand (`rows.total × inner`).
@@ -117,10 +116,9 @@ pub struct RunBuffers {
     pub report: DeviceBuffer,
     /// Check diagnostics words per result block.
     pub diag: DeviceBuffer,
-    /// Pack-panel pool for the clean-path GEMM engine. Pooled `RunBuffers`
-    /// carry their panels with them, so the batch engine's per-plan buffer
-    /// pool reuses pack allocations across requests of the same shape.
-    pub pack: PackPool,
+    /// Whether a run has used the buffers since they were allocated
+    /// zeroed; only used buffers need rezeroing before the next upload.
+    used: bool,
 }
 
 impl RunBuffers {
@@ -135,7 +133,7 @@ impl RunBuffers {
             pmax_b: PMaxBuffers::new(plan.cols.total, plan.inner / bs, p),
             report: DeviceBuffer::zeros(REPORT_WORDS * plan.rows.blocks * plan.cols.blocks),
             diag: DeviceBuffer::zeros(DIAG_WORDS * plan.rows.blocks * plan.cols.blocks),
-            pack: PackPool::new(),
+            used: false,
         }
     }
 
@@ -309,7 +307,8 @@ impl AAbftGemm {
     }
 
     /// [`AAbftGemm::begin`] with caller-provided (pooled) buffers, which
-    /// are rezeroed and refilled in place.
+    /// are rezeroed (unless fresh from [`RunBuffers::for_plan`]) and
+    /// refilled in place.
     ///
     /// # Panics
     ///
@@ -320,7 +319,7 @@ impl AAbftGemm {
         ctx: &ExecCtx<'_>,
         a: &Matrix<f64>,
         b: &Matrix<f64>,
-        bufs: RunBuffers,
+        mut bufs: RunBuffers,
     ) -> Result<MultiplyRun, AbftError> {
         if a.cols() != b.rows() {
             return Err(AbftError::ShapeMismatch {
@@ -336,7 +335,10 @@ impl AAbftGemm {
         // Upload operands into their augmented, padded layouts (checksum
         // regions zeroed; the encoding kernels fill them).
         let _s = aabft_obs::span!(ctx.obs, "phase", "upload");
-        bufs.reset();
+        if bufs.used {
+            bufs.reset();
+        }
+        bufs.used = true;
         for i in 0..m {
             bufs.a.write_slice(i * plan.inner, a.row(i));
         }
@@ -406,8 +408,9 @@ impl MultiplyRun {
     }
 
     /// The multiplication kernel over this run's augmented operands,
-    /// wired to the run's pack-panel pool and the device's clean engine
-    /// (the per-device [`DeviceConfig`] choice).
+    /// wired to the device's clean engine (the per-device
+    /// [`DeviceConfig`] choice). Its panels come from the process-wide
+    /// pack pool, so every multiply reuses the panel storage of the last.
     ///
     /// [`DeviceConfig`]: aabft_gpu_sim::device::DeviceConfig
     fn gemm_kernel(&self, ctx: &ExecCtx<'_>) -> GemmKernel<'_> {
@@ -422,7 +425,6 @@ impl MultiplyRun {
         )
         .with_mul_mode(self.config.mul_mode)
         .with_rounding(self.config.rounding)
-        .with_pack_pool(&self.bufs.pack)
         .with_clean_engine(ctx.device.clean_engine())
     }
 

@@ -43,8 +43,72 @@ impl EncodeScratch {
     }
 }
 
+/// The clean bodies' per-worker scratch: the absolute-value tile in scan
+/// lane order, the checksum accumulators, the checksum-line copy, one
+/// staged block row and the per-lane scan state. Every field is fully
+/// rewritten per block, so reuse needs no zeroing pass.
+#[derive(Debug, Default)]
+struct CleanScratch {
+    tile: Vec<f64>,
+    sums: Vec<f64>,
+    cs_abs: Vec<f64>,
+    row: Vec<f64>,
+    max_val: Vec<f64>,
+    max_at: Vec<usize>,
+}
+
+impl CleanScratch {
+    /// Sizes the tile and row for a `bs × bs` block and zeroes the sums.
+    fn reset(&mut self, bs: usize) {
+        self.tile.resize(bs * bs, 0.0);
+        self.row.resize(bs, 0.0);
+        self.sums.clear();
+        self.sums.resize(bs, 0.0);
+    }
+}
+
 thread_local! {
     static SCRATCH: RefCell<EncodeScratch> = const { RefCell::new(EncodeScratch::new()) };
+    static CLEAN: RefCell<CleanScratch> = RefCell::new(CleanScratch::default());
+}
+
+/// One clean-path scan-and-zero round over a `bs × bs` absolute-value
+/// tile whose lane `l` (the line a thread owns) reads its step-`s` element
+/// at `tile[s·bs + l]`: finds every lane's first maximum and its step with
+/// branch-free selects across the lanes, then zeroes it in the tile. The
+/// select `v > max` is the instrumented scan's `max.max(v) > max`: the
+/// running max starts at 0.0 and so never becomes NaN, and a NaN `v`
+/// fails both tests.
+fn scan_and_zero(tile: &mut [f64], bs: usize, max_val: &mut Vec<f64>, max_at: &mut Vec<usize>) {
+    max_val.clear();
+    max_val.resize(bs, 0.0);
+    max_at.clear();
+    max_at.resize(bs, 0);
+    for (step, lanes) in tile.chunks_exact(bs).enumerate() {
+        for ((max, at), &v) in max_val.iter_mut().zip(max_at.iter_mut()).zip(lanes) {
+            let gt = v > *max;
+            *max = if gt { v } else { *max };
+            *at = if gt { step } else { *at };
+        }
+    }
+    for (lane, &at) in max_at.iter().enumerate() {
+        tile[at * bs + lane] = 0.0;
+    }
+}
+
+/// The first maximum of a checksum line's absolute values and its
+/// position, zeroed afterwards (the clean form of the instrumented
+/// checksum-line scan).
+fn take_line_max(cs_abs: &mut [f64]) -> (f64, usize) {
+    let (mut max_val, mut max_at) = (0.0f64, 0usize);
+    for (j, &v) in cs_abs.iter().enumerate() {
+        if v > max_val {
+            max_val = v;
+            max_at = j;
+        }
+    }
+    cs_abs[max_at] = 0.0;
+    (max_val, max_at)
 }
 
 /// Closed-form per-block stats of either encoding kernel: one add + one abs
@@ -183,54 +247,40 @@ impl Kernel for EncodeColumnsKernel<'_> {
         let block_k = block.x;
         let (row0, col0) = (block_i * bs, block_k * bs);
 
-        SCRATCH.with(|scratch| {
+        CLEAN.with(|scratch| {
             let mut scratch = scratch.borrow_mut();
             scratch.reset(bs);
-            let EncodeScratch { tile, sums, cs_abs } = &mut *scratch;
-            let tile = tile.as_mut_slice();
+            let CleanScratch { tile, sums, cs_abs, row, max_val, max_at } = &mut *scratch;
 
+            // Column checksums top to bottom, as in the instrumented body.
+            // The absolute values land transposed (column j, row i at
+            // `j·bs + i`), so the row scans below run across contiguous
+            // lanes.
             for i in 0..bs {
-                for (tid, sum) in sums.iter_mut().enumerate() {
-                    let v = self.a.get((row0 + i) * self.cols + col0 + tid);
+                self.a.read_slice((row0 + i) * self.cols + col0, row);
+                for (j, (sum, &v)) in sums.iter_mut().zip(row.iter()).enumerate() {
                     *sum += v;
-                    tile[i * bs + tid] = v.abs();
+                    tile[j * bs + i] = v.abs();
                 }
             }
+            let cs_line = self.rows.checksum_line(block_i);
             for (tid, &sum) in sums.iter().enumerate() {
-                self.a.set(self.rows.checksum_line(block_i) * self.cols + col0 + tid, sum);
+                self.a.set(cs_line * self.cols + col0 + tid, sum);
             }
 
             cs_abs.clear();
             cs_abs.extend(sums.iter().map(|&s| s.abs()));
             for slot in 0..self.pmax.p {
-                for tid in 0..bs {
-                    let mut max_val = 0.0f64;
-                    let mut max_j = 0usize;
-                    for (j, &v) in tile[tid * bs..(tid + 1) * bs].iter().enumerate() {
-                        // Same max-scan predicate as the instrumented path.
-                        if max_val.max(v) > max_val {
-                            max_val = v;
-                            max_j = j;
-                        }
-                    }
-                    let pi = self.pmax.partial_index(row0 + tid, block_k, slot);
-                    self.pmax.partial_vals.set(pi, max_val);
-                    self.pmax.partial_idxs.set(pi, (col0 + max_j) as f64);
-                    tile[tid * bs + max_j] = 0.0;
+                scan_and_zero(tile, bs, max_val, max_at);
+                for (lane, (&v, &j)) in max_val.iter().zip(max_at.iter()).enumerate() {
+                    let pi = self.pmax.partial_index(row0 + lane, block_k, slot);
+                    self.pmax.partial_vals.set(pi, v);
+                    self.pmax.partial_idxs.set(pi, (col0 + j) as f64);
                 }
-                let mut max_val = 0.0f64;
-                let mut max_j = 0usize;
-                for (j, &v) in cs_abs.iter().enumerate() {
-                    if max_val.max(v) > max_val {
-                        max_val = v;
-                        max_j = j;
-                    }
-                }
-                let pi =
-                    self.pmax.partial_index(self.rows.checksum_line(block_i), block_k, slot);
-                self.pmax.partial_vals.set(pi, max_val);
-                self.pmax.partial_idxs.set(pi, (col0 + max_j) as f64);
-                cs_abs[max_j] = 0.0;
+                let (v, j) = take_line_max(cs_abs);
+                let pi = self.pmax.partial_index(cs_line, block_k, slot);
+                self.pmax.partial_vals.set(pi, v);
+                self.pmax.partial_idxs.set(pi, (col0 + j) as f64);
             }
         });
 
@@ -359,54 +409,37 @@ impl Kernel for EncodeRowsKernel<'_> {
         let (row0, col0) = (block_k * bs, block_j * bs);
         let width = self.cols.total;
 
-        SCRATCH.with(|scratch| {
+        CLEAN.with(|scratch| {
             let mut scratch = scratch.borrow_mut();
             scratch.reset(bs);
-            let EncodeScratch { tile, sums, cs_abs } = &mut *scratch;
-            let tile = tile.as_mut_slice();
+            let CleanScratch { tile, sums, cs_abs, max_val, max_at, .. } = &mut *scratch;
 
-            for j in 0..bs {
-                for (tid, sum) in sums.iter_mut().enumerate() {
-                    let v = self.b.get((row0 + tid) * width + col0 + j);
-                    *sum += v;
-                    tile[tid * bs + j] = v.abs();
+            // Row checksums left to right, as in the instrumented body; the
+            // tile keeps the block's row-major layout, which is already the
+            // lane order of the column scans below.
+            let cs_col = self.cols.checksum_line(block_j);
+            for (i, (sum, line)) in sums.iter_mut().zip(tile.chunks_exact_mut(bs)).enumerate() {
+                self.b.read_slice((row0 + i) * width + col0, line);
+                *sum = line.iter().fold(0.0, |acc, &v| acc + v);
+                for v in line.iter_mut() {
+                    *v = v.abs();
                 }
-            }
-            for (tid, &sum) in sums.iter().enumerate() {
-                self.b.set((row0 + tid) * width + self.cols.checksum_line(block_j), sum);
+                self.b.set((row0 + i) * width + cs_col, *sum);
             }
 
             cs_abs.clear();
             cs_abs.extend(sums.iter().map(|&s| s.abs()));
             for slot in 0..self.pmax.p {
-                for tid in 0..bs {
-                    let mut max_val = 0.0f64;
-                    let mut max_i = 0usize;
-                    for i in 0..bs {
-                        let v = tile[i * bs + tid];
-                        if max_val.max(v) > max_val {
-                            max_val = v;
-                            max_i = i;
-                        }
-                    }
-                    let pi = self.pmax.partial_index(col0 + tid, block_k, slot);
-                    self.pmax.partial_vals.set(pi, max_val);
-                    self.pmax.partial_idxs.set(pi, (row0 + max_i) as f64);
-                    tile[max_i * bs + tid] = 0.0;
+                scan_and_zero(tile, bs, max_val, max_at);
+                for (lane, (&v, &i)) in max_val.iter().zip(max_at.iter()).enumerate() {
+                    let pi = self.pmax.partial_index(col0 + lane, block_k, slot);
+                    self.pmax.partial_vals.set(pi, v);
+                    self.pmax.partial_idxs.set(pi, (row0 + i) as f64);
                 }
-                let mut max_val = 0.0f64;
-                let mut max_i = 0usize;
-                for (i, &v) in cs_abs.iter().enumerate() {
-                    if max_val.max(v) > max_val {
-                        max_val = v;
-                        max_i = i;
-                    }
-                }
-                let pi =
-                    self.pmax.partial_index(self.cols.checksum_line(block_j), block_k, slot);
-                self.pmax.partial_vals.set(pi, max_val);
-                self.pmax.partial_idxs.set(pi, (row0 + max_i) as f64);
-                cs_abs[max_i] = 0.0;
+                let (v, i) = take_line_max(cs_abs);
+                let pi = self.pmax.partial_index(cs_col, block_k, slot);
+                self.pmax.partial_vals.set(pi, v);
+                self.pmax.partial_idxs.set(pi, (row0 + i) as f64);
             }
         });
 

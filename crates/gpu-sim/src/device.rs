@@ -521,6 +521,7 @@ impl Device {
             // contract for clean bodies) and account their work in closed
             // form into per-block stats records, which fold back into the
             // round-robin per-SM split the instrumented path reports.
+            kernel.begin_clean_launch();
             let per_block: Vec<KernelStats> = (0..blocks.len())
                 .into_par_iter()
                 .map(|linear| {
@@ -529,6 +530,7 @@ impl Device {
                     block_stats
                 })
                 .collect();
+            kernel.end_clean_launch();
             fold_per_sm(num_sms, &per_block)
         } else {
             (0..num_sms)
@@ -672,6 +674,9 @@ impl Device {
             // interleave freely across workers). Folding each kernel's
             // per-block records by `linear % num_sms` reproduces the
             // round-robin per-SM split separate launches report.
+            for (_, kernel) in stage.iter() {
+                kernel.begin_clean_launch();
+            }
             let items: Vec<(usize, usize)> = blocks
                 .iter()
                 .enumerate()
@@ -686,6 +691,9 @@ impl Device {
                     block_stats
                 })
                 .collect();
+            for (_, kernel) in stage.iter() {
+                kernel.end_clean_launch();
+            }
             let mut by_kernel: Vec<Vec<KernelStats>> =
                 stage.iter().map(|_| vec![KernelStats::default(); num_sms]).collect();
             for (&(part, linear), s) in items.iter().zip(&per_item) {
@@ -764,6 +772,17 @@ pub trait Kernel: Sync {
     fn supports_clean_path(&self) -> bool {
         false
     }
+    /// Called once per clean-path launch (for a fused dispatch: once per
+    /// stage, after the previous stage completed), before any of the
+    /// launch's [`Kernel::run_block_clean`] calls. Kernels that share
+    /// per-launch state across blocks — the packed GEMM's operand panels —
+    /// set it up here, fresh each launch, since the buffers may have been
+    /// rewritten since the last one.
+    fn begin_clean_launch(&self) {}
+    /// Called once per clean-path launch after its last
+    /// [`Kernel::run_block_clean`] call returned; releases what
+    /// [`Kernel::begin_clean_launch`] set up.
+    fn end_clean_launch(&self) {}
     /// Executes one thread block on the clean path: identical arithmetic in
     /// identical order, but operating on buffers directly and accounting
     /// `stats` (including `fpu_ticks`) in closed form instead of per-op.

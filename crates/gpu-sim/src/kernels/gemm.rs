@@ -15,7 +15,14 @@ use crate::mem::{DeviceBuffer, SharedTile};
 use crate::pack::{self, CleanEngine, PackBuf, PackPool, MR, NR};
 use crate::stats::KernelStats;
 use aabft_numerics::{MulMode, RoundingMode};
+use parking_lot::RwLock;
 use std::cell::RefCell;
+
+/// Depth of one k-chunk of the packed engine: a block walks k in chunks
+/// of `KC` across all of its micro-tiles, so a chunk of the block's `B`
+/// panels (64 columns × 256 × 8 B = 128 KiB) stays in L2 and an `A`
+/// panel chunk (16 KiB) in L1 while every micro-tile sweeps them.
+const KC: usize = 256;
 
 /// Per-worker-thread GEMM scratch: the shared-memory tiles and register
 /// accumulators live once per thread and are reshaped per block, instead of
@@ -156,9 +163,12 @@ pub struct GemmKernel<'a> {
     utilization: f64,
     engine: Option<CleanEngine>,
     pack_pool: Option<&'a PackPool>,
-    /// Process-unique pack epoch: a [`PackBuf`] holding this epoch's panels
-    /// skips re-packing (operands cannot change between a kernel's blocks).
-    pack_epoch: u64,
+    /// The packed clean launch in flight: its pack epoch (panel groups
+    /// stamped with it are this launch's, anything else is stale) and the
+    /// panel buffer its workers share, checked out of the pool by
+    /// [`Kernel::begin_clean_launch`] and returned by
+    /// [`Kernel::end_clean_launch`].
+    pack: RwLock<Option<(u64, PackBuf)>>,
 }
 
 impl<'a> GemmKernel<'a> {
@@ -198,7 +208,7 @@ impl<'a> GemmKernel<'a> {
             utilization: 0.896,
             engine: None,
             pack_pool: None,
-            pack_epoch: pack::next_epoch(),
+            pack: RwLock::new(None),
         }
     }
 
@@ -209,10 +219,10 @@ impl<'a> GemmKernel<'a> {
         self
     }
 
-    /// Attaches a [`PackPool`] whose buffers the packed clean engine checks
-    /// out per block instead of using the thread-local arena — the batch
-    /// engine threads one per pooled `RunBuffers`, so panel allocations
-    /// are reused across batch requests of the same plan.
+    /// Attaches the [`PackPool`] each packed clean launch checks its panel
+    /// buffer out of, instead of the process-wide [`PackPool::shared`]
+    /// (panel storage of the caller's own, whose packs
+    /// [`PackPool::panel_packs`] counts apart from everyone else's).
     pub fn with_pack_pool(mut self, pool: &'a PackPool) -> Self {
         self.pack_pool = Some(pool);
         self
@@ -375,17 +385,24 @@ impl Kernel for GemmKernel<'_> {
         self.rounding == RoundingMode::Nearest
     }
 
+    fn begin_clean_launch(&self) {
+        if self.engine() == CleanEngine::Packed {
+            let mut buf = self.pool().take();
+            buf.ensure(self.m / self.tiling.bm, self.q / self.tiling.bn);
+            *self.pack.write() = Some((pack::next_epoch(), buf));
+        }
+    }
+
+    fn end_clean_launch(&self) {
+        if let Some((_, buf)) = self.pack.write().take() {
+            self.pool().put(buf);
+        }
+    }
+
     fn run_block_clean(&self, block: BlockIdx, stats: &mut KernelStats) {
-        match self.engine.unwrap_or(CleanEngine::Packed) {
+        match self.engine() {
             CleanEngine::Packed => {
-                match self.pack_pool {
-                    Some(pool) => {
-                        let mut buf = pool.take();
-                        self.run_block_packed(block, &mut buf);
-                        pool.put(buf);
-                    }
-                    None => pack::with_thread_buf(|buf| self.run_block_packed(block, buf)),
-                }
+                self.run_block_packed(block);
                 self.account_clean_block(stats);
             }
             CleanEngine::Scalar => self.run_block_scalar(block, stats),
@@ -394,96 +411,132 @@ impl Kernel for GemmKernel<'_> {
 }
 
 impl GemmKernel<'_> {
-    /// Packed clean block: pack the block's `A` rows and `B` columns into
-    /// micro-panels, then run the 8×8 microkernel over every panel pair.
-    /// Each accumulator still consumes its products in ascending-`k` order
-    /// — the same per-accumulator sequence as the instrumented tile loops
-    /// — so results are bit-identical for any tiling; only the iteration
+    /// The clean-path engine this kernel runs.
+    fn engine(&self) -> CleanEngine {
+        self.engine.unwrap_or(CleanEngine::Packed)
+    }
+
+    /// The pool this kernel's panel buffer comes from.
+    fn pool(&self) -> &PackPool {
+        self.pack_pool.unwrap_or(PackPool::shared())
+    }
+
+    /// Packed clean block: fetch the block row's `A` panels and the block
+    /// column's `B` panels (packed once per launch by whichever worker
+    /// needs them first), then walk k in [`KC`]-deep chunks, running the
+    /// 8×8 microkernel over every micro-tile per chunk with the tiles'
+    /// accumulators parked in worker scratch between chunks. Each
+    /// accumulator still consumes its products in ascending-`k` order —
+    /// the same per-accumulator sequence as the instrumented tile loops —
+    /// so results are bit-identical for any tiling; only the iteration
     /// order *across* independent accumulators changes, which round-to-
     /// nearest arithmetic cannot observe.
-    fn run_block_packed(&self, block: BlockIdx, buf: &mut PackBuf) {
+    fn run_block_packed(&self, block: BlockIdx) {
         let GemmTiling { bm, bn, .. } = self.tiling;
         let (row0, col0) = (block.y * bm, block.x * bn);
         let (n, q) = (self.n, self.q);
-        // No-op for every block after this worker's first (epoch hit).
-        buf.pack_all(self.pack_epoch, self.a, self.b, self.m, bm, n, n, q, bn, q);
+        let packs = self.pool().pack_counter();
+        let launch = self.pack.read();
+        let (epoch, buf) = launch.as_ref().expect("packed clean launch begun");
+        let a_panels = buf.a_group(*epoch, self.a, block.y, bm, n, n, packs);
+        let b_panels = buf.b_group(*epoch, self.b, block.x, bn, n, q, packs);
         pack::note_packed_block();
         let (ppa, ppb) = (bm.div_ceil(MR), bn.div_ceil(NR));
 
-        for pi in 0..ppa {
-            let mr = MR.min(bm - pi * MR);
-            let ap = buf.a_panel(block.y * ppa + pi, mr, n);
-            for pj in 0..ppb {
-                let nr = NR.min(bn - pj * NR);
-                let bp = buf.b_panel(block.x * ppb + pj, nr, n);
-                let mut acc = [0.0f64; MR * NR];
+        SCRATCH.with(|scratch| {
+            let tiles = &mut scratch.borrow_mut().accum;
+            tiles.clear();
+            tiles.resize(ppa * ppb * MR * NR, 0.0);
 
-                if mr == MR && nr == NR {
-                    // Hot case: full 8×8 micro-tile, computed as two 4×8
-                    // register sub-tiles. A sub-tile's 32 live accumulators
-                    // plus the loaded panel fragments fit a 16×256-bit
-                    // vector register file (the full 8×8 tile alone would
-                    // consume it and spill every iteration); its four rows
-                    // of two vectors give 8 independent FMA chains. Each
-                    // accumulator still consumes its products in ascending
-                    // k — splitting rows only reorders work *across*
-                    // accumulators.
-                    for half in 0..2 {
-                        let i0 = half * 4;
-                        let mut sub = [0.0f64; 4 * NR];
-                        match self.mul_mode {
-                            MulMode::Separate => {
-                                for (af, bf) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)) {
-                                    for i in 0..4 {
-                                        let av = af[i0 + i];
-                                        for j in 0..NR {
-                                            sub[i * NR + j] += av * bf[j];
-                                        }
-                                    }
-                                }
-                            }
-                            MulMode::Fused => {
-                                for (af, bf) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)) {
-                                    for i in 0..4 {
-                                        let av = af[i0 + i];
-                                        for j in 0..NR {
-                                            sub[i * NR + j] =
-                                                av.mul_add(bf[j], sub[i * NR + j]);
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                        acc[i0 * NR..(i0 + 4) * NR].copy_from_slice(&sub);
+            for k0 in (0..n).step_by(KC) {
+                let k1 = n.min(k0 + KC);
+                let mut tile_of = tiles.chunks_exact_mut(MR * NR);
+                for pi in 0..ppa {
+                    let mr = MR.min(bm - pi * MR);
+                    let ap = &a_panels.panel(pi, mr, n)[k0 * mr..k1 * mr];
+                    for pj in 0..ppb {
+                        let nr = NR.min(bn - pj * NR);
+                        let bp = &b_panels.panel(pj, nr, n)[k0 * nr..k1 * nr];
+                        let tile = tile_of.next().expect("one tile per micro-tile");
+                        self.micro_tile(ap, bp, mr, nr, tile.try_into().expect("MR×NR tile"));
                     }
-                } else {
-                    // Edge micro-tiles (bm or bn not a multiple of 8).
-                    match self.mul_mode {
-                        MulMode::Separate => {
-                            for (af, bf) in ap.chunks_exact(mr).zip(bp.chunks_exact(nr)) {
-                                for (i, &av) in af.iter().enumerate() {
-                                    for (j, &bv) in bf.iter().enumerate() {
-                                        acc[i * NR + j] += av * bv;
-                                    }
+                }
+            }
+
+            for (t, tile) in tiles.chunks_exact(MR * NR).enumerate() {
+                let (pi, pj) = (t / ppb, t % ppb);
+                let (mr, nr) = (MR.min(bm - pi * MR), NR.min(bn - pj * NR));
+                for i in 0..mr {
+                    let base = (row0 + pi * MR + i) * q + col0 + pj * NR;
+                    for j in 0..nr {
+                        self.c.set(base + j, self.c.get(base + j) + tile[i * NR + j]);
+                    }
+                }
+            }
+        });
+    }
+
+    /// Advances one `mr × nr` micro-tile's accumulators (row-major at an
+    /// [`NR`] pitch in `tile`) over one k-chunk of its `A` panel `ap` and
+    /// `B` panel `bp`.
+    #[inline(always)]
+    fn micro_tile(&self, ap: &[f64], bp: &[f64], mr: usize, nr: usize, tile: &mut [f64; MR * NR]) {
+        if mr == MR && nr == NR {
+            // Hot case: full 8×8 micro-tile, computed as two 4×8 register
+            // sub-tiles. A sub-tile's 32 live accumulators plus the loaded
+            // panel fragments fit a 16×256-bit vector register file (the
+            // full 8×8 tile alone would consume it and spill every
+            // iteration); its four rows of two vectors give 8 independent
+            // FMA chains. Each accumulator still consumes its products in
+            // ascending k — splitting rows only reorders work *across*
+            // accumulators.
+            for half in 0..2 {
+                let i0 = half * 4;
+                let mut sub = [0.0f64; 4 * NR];
+                sub.copy_from_slice(&tile[i0 * NR..(i0 + 4) * NR]);
+                match self.mul_mode {
+                    MulMode::Separate => {
+                        for (af, bf) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)) {
+                            for i in 0..4 {
+                                let av = af[i0 + i];
+                                for j in 0..NR {
+                                    sub[i * NR + j] += av * bf[j];
                                 }
                             }
                         }
-                        MulMode::Fused => {
-                            for (af, bf) in ap.chunks_exact(mr).zip(bp.chunks_exact(nr)) {
-                                for (i, &av) in af.iter().enumerate() {
-                                    for (j, &bv) in bf.iter().enumerate() {
-                                        acc[i * NR + j] = av.mul_add(bv, acc[i * NR + j]);
-                                    }
+                    }
+                    MulMode::Fused => {
+                        for (af, bf) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)) {
+                            for i in 0..4 {
+                                let av = af[i0 + i];
+                                for j in 0..NR {
+                                    sub[i * NR + j] = av.mul_add(bf[j], sub[i * NR + j]);
                                 }
                             }
                         }
                     }
                 }
-
-                for i in 0..mr {
-                    let base = (row0 + pi * MR + i) * q + col0 + pj * NR;
-                    for j in 0..nr {
-                        self.c.set(base + j, self.c.get(base + j) + acc[i * NR + j]);
+                tile[i0 * NR..(i0 + 4) * NR].copy_from_slice(&sub);
+            }
+        } else {
+            // Edge micro-tiles (bm or bn not a multiple of 8).
+            match self.mul_mode {
+                MulMode::Separate => {
+                    for (af, bf) in ap.chunks_exact(mr).zip(bp.chunks_exact(nr)) {
+                        for (i, &av) in af.iter().enumerate() {
+                            for (j, &bv) in bf.iter().enumerate() {
+                                tile[i * NR + j] += av * bv;
+                            }
+                        }
+                    }
+                }
+                MulMode::Fused => {
+                    for (af, bf) in ap.chunks_exact(mr).zip(bp.chunks_exact(nr)) {
+                        for (i, &av) in af.iter().enumerate() {
+                            for (j, &bv) in bf.iter().enumerate() {
+                                tile[i * NR + j] = av.mul_add(bv, tile[i * NR + j]);
+                            }
+                        }
                     }
                 }
             }

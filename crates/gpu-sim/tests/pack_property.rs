@@ -76,6 +76,20 @@ proptest! {
 }
 
 #[test]
+fn packed_engine_bit_identical_across_k_chunks() {
+    // The packed engine walks k in 256-deep chunks, parking each
+    // micro-tile's accumulators between them: two full chunks plus a
+    // partial one must still match the instrumented bits in both modes.
+    let tiling = GemmTiling::default();
+    let (a, b) = inputs(64, 520 + 8, 64);
+    for mode in [MulMode::Separate, MulMode::Fused] {
+        let reference = run_gemm(&a, &b, tiling, mode, None);
+        let packed = run_gemm(&a, &b, tiling, mode, Some(CleanEngine::Packed));
+        assert_eq!(packed, reference, "{mode:?}: packed engine must match instrumented bits");
+    }
+}
+
+#[test]
 fn packed_engine_reports_telemetry() {
     let before = pack::packed_blocks();
     let (a, b) = inputs(16, 16, 16);
@@ -93,24 +107,88 @@ fn pack_pool_buffers_survive_across_launches() {
     let db = DeviceBuffer::from_matrix(&b);
     let dc = DeviceBuffer::zeros(16 * 16);
     let pool = PackPool::new();
+    // A launch checks one pack buffer out, shares it between all of its
+    // workers and returns it when its last block is done; the next launch
+    // (of this kernel or another) takes the parked buffer instead of
+    // allocating, so the pool never holds more than one.
     let kernel = GemmKernel::new(&da, &db, &dc, 16, 16, 16, tiling)
         .with_clean_engine(CleanEngine::Packed)
         .with_pack_pool(&pool);
-    // How many workers hold a buffer at once varies from launch to launch,
-    // so bound the allocations rather than pin the pool's length. A block
-    // allocates only when every buffer is checked out, and every checkout
-    // is returned, so the parked count is the number of allocations.
-    let workers = rayon::current_num_threads();
-    let launches = 50;
-    for launch in 1..=launches {
+    for launch in 1..=25 {
         device.launch(kernel.grid(), &kernel);
-        let allocations = pool.len();
-        assert!(allocations > 0, "workers must return their pack buffers to the pool");
-        assert!(
-            allocations <= workers,
-            "launch {launch}: {allocations} allocations for {workers} workers"
-        );
+        assert_eq!(pool.len(), 1, "launch {launch}: one pack buffer, reused and returned");
     }
-    let checkouts = launches * kernel.grid().block_count();
-    assert!(pool.len() < checkouts, "relaunching must reuse pooled buffers");
+    for launch in 1..=25 {
+        let kernel = GemmKernel::new(&da, &db, &dc, 16, 16, 16, tiling)
+            .with_clean_engine(CleanEngine::Packed)
+            .with_pack_pool(&pool);
+        device.launch(kernel.grid(), &kernel);
+        assert_eq!(pool.len(), 1, "fresh kernel {launch}: the parked buffer is reused");
+    }
+}
+
+#[test]
+fn relaunch_after_rewriting_an_operand_multiplies_the_new_values() {
+    let n = 64;
+    let da = DeviceBuffer::from_vec(vec![1.0; n * n]);
+    let db = DeviceBuffer::from_vec(vec![1.0; n * n]);
+    let dc = DeviceBuffer::zeros(n * n);
+    let device = Device::with_defaults();
+    let kernel = GemmKernel::new(&da, &db, &dc, n, n, n, GemmTiling::default())
+        .with_clean_engine(CleanEngine::Packed);
+    device.launch(kernel.grid(), &kernel);
+    assert_eq!(dc.get(0), 64.0);
+    // Panels are valid for one launch only: the relaunch must re-pack the
+    // rewritten A rather than multiply the panels of the first launch.
+    da.write_slice(0, &vec![2.0; n * n]);
+    dc.clear();
+    device.launch(kernel.grid(), &kernel);
+    assert_eq!(dc.get(0), 128.0, "relaunch multiplied stale panels");
+    assert!(dc.to_vec().iter().all(|&c| c == 128.0));
+}
+
+#[test]
+fn each_panel_group_is_packed_once_per_launch_under_any_worker_count() {
+    // 3 block rows of A and 5 block columns of B: 8 panel groups a launch,
+    // whichever worker reaches each group first packs it for all of them.
+    // Ragged micro-tiles (12 = 8 + 4 rows, 20 = 2·8 + 4 columns) and a
+    // depth of two full 256-deep k-chunks plus a partial one.
+    let tiling = GemmTiling { bm: 12, bn: 20, bk: 4, rx: 4, ry: 4 };
+    let (m, n, q) = (3 * tiling.bm, 520, 5 * tiling.bn);
+    let groups = (m / tiling.bm + q / tiling.bn) as u64;
+    let (a, b) = inputs(m, n, q);
+    let run_with = |workers: usize| {
+        let threads = rayon::ThreadPoolBuilder::new().num_threads(workers).build().unwrap();
+        threads.install(|| {
+            let device = Device::with_defaults();
+            let da = DeviceBuffer::from_matrix(&a);
+            let db = DeviceBuffer::from_matrix(&b);
+            let dc = DeviceBuffer::zeros(m * q);
+            let pool = PackPool::new();
+            let kernel = GemmKernel::new(&da, &db, &dc, m, n, q, tiling)
+                .with_clean_engine(CleanEngine::Packed)
+                .with_pack_pool(&pool);
+            for launch in 1..=3 {
+                dc.clear();
+                device.launch(kernel.grid(), &kernel);
+                assert_eq!(
+                    pool.panel_packs(),
+                    launch * groups,
+                    "{workers} workers, launch {launch}: each group packed exactly once"
+                );
+            }
+            dc.to_vec()
+        })
+    };
+    let reference = run_with(1);
+    for workers in [2, 4] {
+        assert_eq!(run_with(workers), reference, "product bits under {workers} workers");
+    }
+    let (da, db) = (DeviceBuffer::from_matrix(&a), DeviceBuffer::from_matrix(&b));
+    let dc = DeviceBuffer::zeros(m * q);
+    let device = Device::with_defaults();
+    device.set_force_instrumented(true);
+    let kernel = GemmKernel::new(&da, &db, &dc, m, n, q, tiling);
+    device.launch(kernel.grid(), &kernel);
+    assert_eq!(dc.to_vec(), reference, "instrumented reference bits");
 }

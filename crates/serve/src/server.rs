@@ -14,8 +14,8 @@
 //! 3. ticks the escalation ladder and applies the resulting protection
 //!    floor to every request in the wave;
 //! 4. runs the wave through [`BatchGemm::execute_verified`] on its own
-//!    device (plan cache, buffer pools and pack pools shared across
-//!    replicas through the one engine), charging the wave's calibrated
+//!    device (plan cache and buffer pools shared across replicas
+//!    through the one engine), charging the wave's calibrated
 //!    cost to its inflight account for the duration and feeding the
 //!    measured wall latency back into the placement plane's
 //!    per-(replica, shape-class) calibration EWMA;

@@ -15,6 +15,16 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+# The packed GEMM engine packs each panel group once per launch, by the
+# first worker that needs it, while the others wait and then share it.
+# Rerun its tests with one worker and with more workers than this
+# container has cores, so that hand-off runs whatever the host.
+for workers in 1 4; do
+    echo "==> pack_property + fast_path (RAYON_NUM_THREADS=$workers)"
+    RAYON_NUM_THREADS=$workers cargo test -q -p aabft-gpu-sim --test pack_property
+    RAYON_NUM_THREADS=$workers cargo test -q -p aabft-faults --test fast_path
+done
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 # The packed clean-path engine (pack module + microkernel) gets an
