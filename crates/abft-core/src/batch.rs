@@ -258,9 +258,10 @@ impl BatchGemm {
     /// Within a wave each worker runs its requests' full phase; the
     /// nested-parallelism guard in the rayon shim keeps each launch's
     /// block loop serial on its worker, so request-level parallelism owns
-    /// the thread budget. The waves keep launches phase-grouped in the
-    /// log, which is what the stream scheduler's greedy seq-order pass
-    /// packs best (and exactly the order a single worker produces).
+    /// the thread budget. [`Device::in_item_order`] files each wave's
+    /// launches in request order, so the launch log, and with it the
+    /// modelled timeline, is the one a single worker produces whatever the
+    /// worker count.
     ///
     /// With any fault plan armed (or instrumentation forced) the same
     /// phase order is issued sequentially from the host thread,
@@ -270,41 +271,28 @@ impl BatchGemm {
     fn run_device_phases(
         &self,
         device: &Device,
-        runs: &[(StreamId, MultiplyRun)],
+        runs: &[(StreamId, &MultiplyRun)],
         policies: &[&GemmRequest],
     ) {
         debug_assert_eq!(runs.len(), policies.len());
-        if device.fusion_viable() {
-            let wave = |phase: fn(&MultiplyRun, &ExecCtx<'_>), verified_only: bool| {
-                let _dispatched: Vec<()> = (0..runs.len())
-                    .into_par_iter()
-                    .map(|i| {
-                        if verified_only && !policies[i].verified_phases() {
-                            return;
-                        }
-                        let (stream, run) = &runs[i];
-                        phase(run, &ExecCtx::on_stream(device, *stream));
-                    })
-                    .collect();
+        let parallel = device.fusion_viable();
+        let wave = |phase: fn(&MultiplyRun, &ExecCtx<'_>), verified_only: bool| {
+            let item = |i: usize| {
+                if verified_only && !policies[i].verified_phases() {
+                    return;
+                }
+                let (stream, run) = runs[i];
+                phase(run, &ExecCtx::on_stream(device, stream));
             };
-            wave(MultiplyRun::encode_and_gemm, false);
-            wave(MultiplyRun::reduce, true);
-            wave(MultiplyRun::check, true);
-            return;
-        }
-        for (stream, run) in runs {
-            run.encode_and_gemm(&ExecCtx::on_stream(device, *stream));
-        }
-        for ((stream, run), req) in runs.iter().zip(policies) {
-            if req.verified_phases() {
-                run.reduce(&ExecCtx::on_stream(device, *stream));
+            if parallel {
+                device.in_item_order(runs.len(), item);
+            } else {
+                (0..runs.len()).for_each(item);
             }
-        }
-        for ((stream, run), req) in runs.iter().zip(policies) {
-            if req.verified_phases() {
-                run.check(&ExecCtx::on_stream(device, *stream));
-            }
-        }
+        };
+        wave(MultiplyRun::encode_and_gemm, false);
+        wave(MultiplyRun::reduce, true);
+        wave(MultiplyRun::check, true);
     }
 
     /// Epilogue of one request under its policy, for [`BatchGemm::execute`].
@@ -405,7 +393,8 @@ impl BatchGemm {
         }
 
         let policies: Vec<&GemmRequest> = requests.iter().collect();
-        self.run_device_phases(device, &runs, &policies);
+        let pairs: Vec<(StreamId, &MultiplyRun)> = runs.iter().map(|(s, r)| (*s, r)).collect();
+        self.run_device_phases(device, &pairs, &policies);
 
         // Host epilogue. Parallel under the rayon shim, except when a
         // request may launch recovery kernels (self-healing policies, or
@@ -543,46 +532,11 @@ impl BatchGemm {
             }
         }
 
-        // Device phases over the admitted runs, macro-parallel when the
-        // device is fault-free — same dispatch policy as
-        // [`BatchGemm::run_device_phases`], over `(stream, &run)` views
+        // Device phases over the admitted runs, over `(stream, &run)` views
         // because the runs stay in their `(index, key)` context here.
         let policies: Vec<&GemmRequest> = runs.iter().map(|&(i, ..)| &requests[i]).collect();
-        {
-            let pairs: Vec<(StreamId, &MultiplyRun)> =
-                runs.iter().map(|(_, s, _, r)| (*s, r)).collect();
-            if device.fusion_viable() {
-                let wave = |phase: fn(&MultiplyRun, &ExecCtx<'_>), verified_only: bool| {
-                    let _dispatched: Vec<()> = (0..pairs.len())
-                        .into_par_iter()
-                        .map(|j| {
-                            if verified_only && !policies[j].verified_phases() {
-                                return;
-                            }
-                            let (stream, run) = pairs[j];
-                            phase(run, &ExecCtx::on_stream(device, stream));
-                        })
-                        .collect();
-                };
-                wave(MultiplyRun::encode_and_gemm, false);
-                wave(MultiplyRun::reduce, true);
-                wave(MultiplyRun::check, true);
-            } else {
-                for &(stream, run) in &pairs {
-                    run.encode_and_gemm(&ExecCtx::on_stream(device, stream));
-                }
-                for (&(stream, run), req) in pairs.iter().zip(&policies) {
-                    if req.verified_phases() {
-                        run.reduce(&ExecCtx::on_stream(device, stream));
-                    }
-                }
-                for (&(stream, run), req) in pairs.iter().zip(&policies) {
-                    if req.verified_phases() {
-                        run.check(&ExecCtx::on_stream(device, stream));
-                    }
-                }
-            }
-        }
+        let pairs: Vec<(StreamId, &MultiplyRun)> = runs.iter().map(|(_, s, _, r)| (*s, r)).collect();
+        self.run_device_phases(device, &pairs, &policies);
 
         // Verified epilogue: each request runs its own healing loop on its
         // own stream. Sequential, because healing may launch repair kernels

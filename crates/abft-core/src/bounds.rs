@@ -103,8 +103,8 @@ pub fn checksum_epsilon(n: usize, y: f64, omega: f64, model: &RoundingModel) -> 
 /// the intermediate sums can obtain a bound that tracks the data rather
 /// than the worst case. Exposed for the ablation study; the runtime kernel
 /// uses the closed form above, as the paper does.
-pub fn running_sum_sigma(partial_sums: &[f64], model: &RoundingModel) -> f64 {
-    let u2 = (2.0f64).powi(-2 * model.t as i32);
+pub fn running_sum_sigma(partial_sums: &[f64]) -> f64 {
+    let u2 = (2.0f64).powi(-2 * RoundingModel::T as i32);
     let var: f64 = partial_sums.iter().skip(1).map(|&s| s * s).sum::<f64>() * u2 / 8.0;
     var.sqrt()
 }
@@ -178,7 +178,7 @@ mod tests {
             s += if k % 2 == 0 { 1.0 } else { -1.0 };
             partials.push(s);
         }
-        let tight = running_sum_sigma(&partials, &m64());
+        let tight = running_sum_sigma(&partials);
         let loose = sum_sigma(n, 1.0, &m64());
         assert!(tight < loose / 100.0, "tight {tight} loose {loose}");
     }

@@ -36,12 +36,12 @@
 //! shape and the packed-block telemetry.
 
 use aabft_bench::args::Args;
-use aabft_bench::jsonout::{write_array, JsonObject};
 use aabft_core::{AAbftConfig, AAbftGemm};
 use aabft_gpu_sim::device::{Device, DeviceConfig};
 use aabft_gpu_sim::inject::{FaultScope, KernelFaultPlan};
 use aabft_gpu_sim::pack::{self, CleanEngine};
 use aabft_matrix::Matrix;
+use aabft_obs::json::{write_array, JsonObject};
 use std::time::Instant;
 
 /// Runs `f` untimed `warmup` times, then timed `reps` times; returns

@@ -9,8 +9,8 @@
 
 use aabft_bench::args::Args;
 use aabft_bench::fig4::{sweep, Fig4Config};
-use aabft_bench::jsonout::{write_array, JsonObject};
 use aabft_matrix::gen::InputClass;
+use aabft_obs::json::{write_array, JsonObject};
 
 fn main() {
     let args = Args::parse();

@@ -11,9 +11,9 @@
 //! logs (the analytic path is unit-tested to match it exactly).
 
 use aabft_bench::args::Args;
-use aabft_bench::jsonout::{write_array, JsonObject};
 use aabft_bench::table1::{modelled_row, simulated_row, Table1Row};
 use aabft_gpu_sim::kernels::gemm::GemmTiling;
+use aabft_obs::json::{write_array, JsonObject};
 
 fn print_row(r: &Table1Row) {
     println!(

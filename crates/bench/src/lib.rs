@@ -21,7 +21,6 @@
 pub mod args;
 pub mod batch;
 pub mod fig4;
-pub mod jsonout;
 pub mod predict;
 pub mod quality;
 pub mod table1;

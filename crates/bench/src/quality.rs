@@ -202,104 +202,6 @@ pub fn collect_samples(n: usize, input: InputClass, config: &QualityConfig) -> V
     out
 }
 
-/// Single-precision variant: the same bound-quality measurement with the
-/// checksum dot products executed in binary32 (simulated by rounding every
-/// operation through `f32`) and the bounds evaluated with the `t = 24`
-/// model. Demonstrates the model's parameterisation over the mantissa
-/// length (the paper's formulas carry `t` symbolically; its evaluation is
-/// double-precision only).
-///
-/// # Panics
-///
-/// Panics if `n` is not a multiple of `config.bs`.
-pub fn measure_binary32(n: usize, input: InputClass, config: &QualityConfig) -> QualityRow {
-    assert_eq!(n % config.bs, 0, "n = {n} must be a multiple of bs = {}", config.bs);
-    let mut rng = rand::rngs::StdRng::seed_from_u64(config.seed);
-    // Generate in f64, then snap every entry to its nearest f32 so the
-    // operand values are exactly representable in both formats.
-    let snap = |m: aabft_matrix::Matrix<f64>| {
-        aabft_matrix::Matrix::from_fn(m.rows(), m.cols(), |i, j| m[(i, j)] as f32 as f64)
-    };
-    let a = snap(input.generate(n, &mut rng));
-    let b = snap(input.generate(n, &mut rng));
-
-    // Checksums accumulated in f32.
-    let f32_sum = |vals: &mut dyn Iterator<Item = f64>| -> f64 {
-        let mut s = 0.0f32;
-        for v in vals {
-            s += v as f32;
-        }
-        s as f64
-    };
-    let bs = config.bs;
-    let blocks = n / bs;
-    let model = RoundingModel::binary32();
-    let bt = b.transpose();
-
-    // Per-block-row checksum rows in f32.
-    let mut cs_rows = Vec::with_capacity(blocks);
-    for block in 0..blocks {
-        let row: Vec<f64> = (0..n)
-            .map(|j| f32_sum(&mut (block * bs..(block + 1) * bs).map(|i| a[(i, j)])))
-            .collect();
-        cs_rows.push(row);
-    }
-
-    let mut sum_err = 0.0;
-    let mut sum_residual = 0.0;
-    let mut sum_aabft = 0.0;
-    let mut sum_sea = 0.0;
-    let mut count = 0usize;
-    let per_block = (config.samples / blocks).max(1);
-    for (block, cs_row) in cs_rows.iter().enumerate() {
-        for j in (0..n).step_by((n / per_block).max(1)) {
-            let col = bt.row(j);
-            // f32 dot product of the checksum row with the column.
-            let mut s = 0.0f32;
-            for (x, y) in cs_row.iter().zip(col) {
-                s += (*x as f32) * (*y as f32);
-            }
-            let checksum_fl = s as f64;
-            sum_err += rounding_error_of(checksum_fl, cs_row, col).abs();
-
-            // Reference: f32 sums of f32 element dot products.
-            let mut reference = 0.0f32;
-            for i in block * bs..(block + 1) * bs {
-                let mut e = 0.0f32;
-                for (x, y) in a.row(i).iter().zip(col) {
-                    e += (*x as f32) * (*y as f32);
-                }
-                reference += e;
-            }
-            sum_residual += (reference as f64 - checksum_fl).abs();
-
-            // Bounds: binary32 model with the same autonomous y machinery.
-            let cs_m = aabft_matrix::Matrix::from_vec(1, n, cs_row.clone());
-            let col_m = aabft_matrix::Matrix::from_vec(n, 1, col.to_vec());
-            let ta = PMaxTable::of_rows(&cs_m, config.p);
-            let tb = PMaxTable::of_cols(&col_m, config.p);
-            let y = upper_bound_y(ta.values(0), ta.indices(0), tb.values(0), tb.indices(0));
-            sum_aabft += checksum_epsilon(n, y, config.omega, &model);
-            let rows: Vec<&[f64]> =
-                (block * bs..(block + 1) * bs).map(|i| a.row(i)).collect();
-            // SEA with the binary32 machine unit.
-            sum_sea += SeaAbft::column_bound(&rows, cs_row, col) / f64::EPSILON
-                * (2.0f64).powi(-24)
-                * 2.0;
-            count += 1;
-        }
-    }
-    let c = count as f64;
-    QualityRow {
-        n,
-        avg_rnd_error: sum_err / c,
-        avg_residual: sum_residual / c,
-        avg_aabft: sum_aabft / c,
-        avg_sea: sum_sea / c,
-        samples: count,
-    }
-}
-
 /// Shared console driver for the `table2`/`table3`/`table4` binaries.
 pub fn print_quality_table(args: &crate::args::Args, input: InputClass, title: &str) {
     let sizes = args.sizes("sizes", &[128, 256, 512, 1024]);
@@ -327,7 +229,7 @@ pub fn print_quality_table(args: &crate::args::Args, input: InputClass, title: &
             row.n, row.avg_rnd_error, row.avg_residual, row.avg_aabft, row.avg_sea
         );
         json_rows.push(
-            crate::jsonout::JsonObject::new()
+            aabft_obs::json::JsonObject::new()
                 .str("input", &input.label())
                 .int("n", row.n as u64)
                 .int("samples", row.samples as u64)
@@ -339,7 +241,7 @@ pub fn print_quality_table(args: &crate::args::Args, input: InputClass, title: &
     }
     let json = args.get("json", String::new());
     if !json.is_empty() {
-        crate::jsonout::write_array(std::path::Path::new(&json), &json_rows);
+        aabft_obs::json::write_array(std::path::Path::new(&json), &json_rows);
         println!("(wrote {json})");
     }
     println!();
@@ -375,18 +277,6 @@ mod tests {
         assert!(r2.avg_rnd_error > r1.avg_rnd_error);
         assert!(r2.avg_aabft > r1.avg_aabft);
         assert!(r2.avg_sea > r1.avg_sea);
-    }
-
-    #[test]
-    fn binary32_scales_by_mantissa_difference() {
-        let config = QualityConfig { bs: 8, p: 2, omega: 3.0, samples: 128, seed: 9 };
-        let d = measure(64, InputClass::UNIT, &config);
-        let s = measure_binary32(64, InputClass::UNIT, &config);
-        let err_scale = (s.avg_rnd_error / d.avg_rnd_error).log2();
-        let bound_scale = (s.avg_aabft / d.avg_aabft).log2();
-        assert!((err_scale - 29.0).abs() < 2.5, "error scale 2^{err_scale}");
-        assert!((bound_scale - 29.0).abs() < 0.5, "bound scale 2^{bound_scale}");
-        assert!(s.avg_rnd_error < s.avg_aabft && s.avg_aabft < s.avg_sea, "{s:?}");
     }
 
     #[test]

@@ -21,6 +21,7 @@ use crate::stream::{Event, StreamId, StreamTable};
 use aabft_obs::Obs;
 use parking_lot::Mutex;
 use rayon::prelude::*;
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -497,20 +498,12 @@ impl Device {
         let num_sms = self.config.num_sms;
         let max_modules = self.config.max_modules;
         let blocks: Vec<BlockIdx> = grid.iter().collect();
-        let seq = self.launch_seq.fetch_add(1, Ordering::Relaxed);
-        let deps = {
-            let mut table = self.streams.lock();
-            let deps = table.take_deps(stream);
-            table.advance(stream, seq);
-            deps
-        };
         let mut span = self
             .obs
             .recorder
             .span("kernel", kernel.name())
             .attr("phase", kernel.phase())
-            .attr("stream", stream.raw())
-            .attr("seq", seq);
+            .attr("stream", stream.raw());
 
         let per_sm: Vec<KernelStats> = if clean {
             // Fast path: no dynamic-instance counters to maintain and no
@@ -565,7 +558,6 @@ impl Device {
         }
         span.add_attr("flops", total.flops());
         span.add_attr("blocks", total.blocks);
-        drop(span);
         let m = &self.obs.metrics;
         if clean {
             self.clean_path_launches.fetch_add(1, Ordering::Relaxed);
@@ -577,10 +569,10 @@ impl Device {
         m.counter_add("sim.flops", total.flops());
         m.counter_add("sim.gmem_bytes", total.gmem_bytes());
         m.counter_add("sim.blocks", total.blocks);
-        self.log.lock().push(LaunchRecord {
-            seq,
+        let filed = self.file(LaunchRecord {
+            seq: 0,
             stream: stream.raw(),
-            deps,
+            deps: Vec::new(),
             name: kernel.name().to_string(),
             phase: kernel.phase().to_string(),
             utilization: kernel.utilization(),
@@ -588,7 +580,67 @@ impl Device {
             per_sm,
             clean,
         });
+        if let Some(seq) = filed {
+            span.add_attr("seq", seq);
+        }
         total
+    }
+
+    /// Numbers `rec`, chains it on its stream and appends it to the launch
+    /// log, returning its sequence number. Inside
+    /// [`Device::in_item_order`] the record is held back instead (`None`)
+    /// and filed when the wave ends.
+    fn file(&self, rec: LaunchRecord) -> Option<u64> {
+        let me = self as *const Device as usize;
+        let rec = HELD.with(|held| match &*held.borrow() {
+            Some((device, slots, item)) if *device == me => {
+                slots.lock()[*item].push(rec);
+                None
+            }
+            _ => Some(rec),
+        })?;
+        Some(self.file_now(rec))
+    }
+
+    fn file_now(&self, mut rec: LaunchRecord) -> u64 {
+        let stream = StreamId(rec.stream);
+        let mut table = self.streams.lock();
+        rec.seq = self.launch_seq.fetch_add(1, Ordering::Relaxed);
+        rec.deps = table.take_deps(stream);
+        table.advance(stream, rec.seq);
+        let seq = rec.seq;
+        self.log.lock().push(rec);
+        seq
+    }
+
+    /// Runs `item(i)` for every `i < n` on the worker pool and files the
+    /// launches each item issues as if the items had run one after another
+    /// in index order. Sequence numbers, stream chains and log order are
+    /// then a function of the items alone, not of thread timing, so the
+    /// modelled timeline ([`PerfModel::schedule`](crate::perf::PerfModel::schedule))
+    /// is too. Kernels still execute when issued; only the filing waits
+    /// for the wave to end, so [`Device::launches_issued`] does not count
+    /// the wave's own launches while it runs.
+    ///
+    /// Every launch an item makes must come from the thread running that
+    /// item (kernel blocks may fan out; launches may not).
+    pub fn in_item_order<R: Send>(&self, n: usize, item: impl Fn(usize) -> R + Sync) -> Vec<R> {
+        let me = self as *const Device as usize;
+        let slots: HeldSlots = Arc::new(Mutex::new(vec![Vec::new(); n]));
+        let out: Vec<R> = (0..n)
+            .into_par_iter()
+            .map(|i| {
+                let _restore = HeldGuard(HELD.with(|held| {
+                    held.borrow_mut().replace((me, Arc::clone(&slots), i))
+                }));
+                item(i)
+            })
+            .collect();
+        let held = std::mem::take(&mut *slots.lock());
+        for rec in held.into_iter().flatten() {
+            self.file_now(rec);
+        }
+        out
     }
 
     /// Drains the launch log (records since the last call).
@@ -640,30 +692,16 @@ impl Device {
 
         let mut out = Vec::new();
         for stage in stages {
-            // Sequence numbers and dependency edges are taken per kernel in
-            // issue order, exactly as separate launches would have.
-            let meta: Vec<(u64, Vec<u64>)> = stage
-                .iter()
-                .map(|_| {
-                    let seq = self.launch_seq.fetch_add(1, Ordering::Relaxed);
-                    let mut table = self.streams.lock();
-                    let deps = table.take_deps(stream);
-                    table.advance(stream, seq);
-                    (seq, deps)
-                })
-                .collect();
             let blocks: Vec<Vec<BlockIdx>> =
                 stage.iter().map(|(grid, _)| grid.iter().collect()).collect();
             let spans: Vec<_> = stage
                 .iter()
-                .zip(&meta)
-                .map(|(&(_, kernel), &(seq, _))| {
+                .map(|&(_, kernel)| {
                     self.obs
                         .recorder
                         .span("kernel", kernel.name())
                         .attr("phase", kernel.phase())
                         .attr("stream", stream.raw())
-                        .attr("seq", seq)
                 })
                 .collect();
 
@@ -700,9 +738,9 @@ impl Device {
                 by_kernel[part][linear % num_sms].merge(s);
             }
 
-            for (part, ((&(_, kernel), (seq, deps)), mut span)) in
-                stage.iter().zip(meta).zip(spans).enumerate()
-            {
+            // Records are filed per kernel in issue order, exactly as
+            // separate launches would have been.
+            for (part, (&(_, kernel), mut span)) in stage.iter().zip(spans).enumerate() {
                 let per_sm: Vec<KernelStats> = std::mem::take(&mut by_kernel[part]);
                 let mut total = KernelStats::default();
                 for s in &per_sm {
@@ -710,15 +748,14 @@ impl Device {
                 }
                 span.add_attr("flops", total.flops());
                 span.add_attr("blocks", total.blocks);
-                drop(span);
                 m.counter_inc("sim.launches");
                 m.counter_add("sim.flops", total.flops());
                 m.counter_add("sim.gmem_bytes", total.gmem_bytes());
                 m.counter_add("sim.blocks", total.blocks);
-                self.log.lock().push(LaunchRecord {
-                    seq,
+                let filed = self.file(LaunchRecord {
+                    seq: 0,
                     stream: stream.raw(),
-                    deps,
+                    deps: Vec::new(),
                     name: kernel.name().to_string(),
                     phase: kernel.phase().to_string(),
                     utilization: kernel.utilization(),
@@ -728,6 +765,9 @@ impl Device {
                     // (fusion_viable() gates them).
                     clean: true,
                 });
+                if let Some(seq) = filed {
+                    span.add_attr("seq", seq);
+                }
                 out.push(total);
             }
         }
@@ -744,6 +784,27 @@ fn fold_per_sm(num_sms: usize, per_block: &[KernelStats]) -> Vec<KernelStats> {
         per_sm[linear % num_sms].merge(s);
     }
     per_sm
+}
+
+/// Held-back launch records of a [`Device::in_item_order`] wave, one list
+/// per item.
+type HeldSlots = Arc<Mutex<Vec<Vec<LaunchRecord>>>>;
+
+thread_local! {
+    /// Set while this thread runs item `i` of an [`Device::in_item_order`]
+    /// wave: the device's address, the wave's slots and `i`.
+    static HELD: RefCell<Option<(usize, HeldSlots, usize)>> = const { RefCell::new(None) };
+}
+
+/// Restores the thread's previous [`HELD`] state when an item ends, also
+/// when it unwinds.
+struct HeldGuard(Option<(usize, HeldSlots, usize)>);
+
+impl Drop for HeldGuard {
+    fn drop(&mut self) {
+        let prev = self.0.take();
+        HELD.with(|held| *held.borrow_mut() = prev);
+    }
 }
 
 /// A GPU kernel: code executed once per thread block.

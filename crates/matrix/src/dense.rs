@@ -5,11 +5,10 @@
 //! it. Deliberately small — this is a substrate, not a linear-algebra
 //! library.
 
-use aabft_numerics::Real;
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
-/// Dense row-major matrix over an IEEE-754 element type.
+/// Dense row-major binary64 matrix.
 ///
 /// # Examples
 ///
@@ -20,6 +19,9 @@ use std::ops::{Index, IndexMut};
 /// assert_eq!(m[(1, 0)], 3.0);
 /// assert_eq!(m.col(1), vec![2.0, 4.0]);
 /// ```
+// Generic with an f64 default only so that the spelling `Matrix<f64>` keeps
+// compiling; every impl is f64. The accessors are `#[inline]` so that other
+// crates' element loops still inline them, as they did while generic.
 #[derive(Clone, PartialEq)]
 pub struct Matrix<T = f64> {
     rows: usize,
@@ -27,7 +29,7 @@ pub struct Matrix<T = f64> {
     data: Vec<T>,
 }
 
-impl<T: Real> Matrix<T> {
+impl Matrix {
     /// Creates a `rows × cols` matrix filled with zeros.
     ///
     /// # Panics
@@ -35,14 +37,14 @@ impl<T: Real> Matrix<T> {
     /// Panics if either dimension is zero.
     pub fn zeros(rows: usize, cols: usize) -> Self {
         assert!(rows > 0 && cols > 0, "matrix dimensions must be positive");
-        Matrix { rows, cols, data: vec![T::ZERO; rows * cols] }
+        Matrix { rows, cols, data: vec![0.0; rows * cols] }
     }
 
     /// Creates the `n × n` identity matrix.
     pub fn identity(n: usize) -> Self {
         let mut m = Self::zeros(n, n);
         for i in 0..n {
-            m[(i, i)] = T::ONE;
+            m[(i, i)] = 1.0;
         }
         m
     }
@@ -52,7 +54,7 @@ impl<T: Real> Matrix<T> {
     /// # Panics
     ///
     /// Panics if `data.len() != rows * cols` or a dimension is zero.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<T>) -> Self {
+    pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Self {
         assert!(rows > 0 && cols > 0, "matrix dimensions must be positive");
         assert_eq!(data.len(), rows * cols, "data length must match dimensions");
         Matrix { rows, cols, data }
@@ -63,7 +65,7 @@ impl<T: Real> Matrix<T> {
     /// # Panics
     ///
     /// Panics if rows are empty or have differing lengths.
-    pub fn from_rows(rows: &[&[T]]) -> Self {
+    pub fn from_rows(rows: &[&[f64]]) -> Self {
         assert!(!rows.is_empty(), "need at least one row");
         let cols = rows[0].len();
         assert!(cols > 0, "need at least one column");
@@ -76,7 +78,7 @@ impl<T: Real> Matrix<T> {
     }
 
     /// Creates a matrix by evaluating `f(row, col)` at every position.
-    pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> T) -> Self {
+    pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> f64) -> Self {
         let mut m = Self::zeros(rows, cols);
         for i in 0..rows {
             for j in 0..cols {
@@ -87,32 +89,37 @@ impl<T: Real> Matrix<T> {
     }
 
     /// Number of rows.
+    #[inline]
     pub fn rows(&self) -> usize {
         self.rows
     }
 
     /// Number of columns.
+    #[inline]
     pub fn cols(&self) -> usize {
         self.cols
     }
 
     /// `(rows, cols)`.
+    #[inline]
     pub fn shape(&self) -> (usize, usize) {
         (self.rows, self.cols)
     }
 
     /// Borrows the backing row-major storage.
-    pub fn as_slice(&self) -> &[T] {
+    #[inline]
+    pub fn as_slice(&self) -> &[f64] {
         &self.data
     }
 
     /// Mutably borrows the backing row-major storage.
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
+    #[inline]
+    pub fn as_mut_slice(&mut self) -> &mut [f64] {
         &mut self.data
     }
 
     /// Consumes the matrix and returns its backing storage.
-    pub fn into_vec(self) -> Vec<T> {
+    pub fn into_vec(self) -> Vec<f64> {
         self.data
     }
 
@@ -121,26 +128,28 @@ impl<T: Real> Matrix<T> {
     /// # Panics
     ///
     /// Panics if `i >= rows`.
-    pub fn row(&self, i: usize) -> &[T] {
+    #[inline]
+    pub fn row(&self, i: usize) -> &[f64] {
         assert!(i < self.rows, "row index {i} out of bounds ({})", self.rows);
         &self.data[i * self.cols..(i + 1) * self.cols]
     }
 
     /// Mutably borrows row `i`.
-    pub fn row_mut(&mut self, i: usize) -> &mut [T] {
+    #[inline]
+    pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
         assert!(i < self.rows, "row index {i} out of bounds ({})", self.rows);
         &mut self.data[i * self.cols..(i + 1) * self.cols]
     }
 
     /// Copies column `j` into a vector (columns are strided in row-major
     /// storage, so a borrow is not possible).
-    pub fn col(&self, j: usize) -> Vec<T> {
+    pub fn col(&self, j: usize) -> Vec<f64> {
         assert!(j < self.cols, "column index {j} out of bounds ({})", self.cols);
         (0..self.rows).map(|i| self.data[i * self.cols + j]).collect()
     }
 
     /// Returns the transpose.
-    pub fn transpose(&self) -> Matrix<T> {
+    pub fn transpose(&self) -> Matrix {
         Matrix::from_fn(self.cols, self.rows, |i, j| self[(j, i)])
     }
 
@@ -150,7 +159,7 @@ impl<T: Real> Matrix<T> {
     /// # Panics
     ///
     /// Panics if the block exceeds the matrix bounds.
-    pub fn block(&self, row0: usize, col0: usize, block_rows: usize, block_cols: usize) -> Matrix<T> {
+    pub fn block(&self, row0: usize, col0: usize, block_rows: usize, block_cols: usize) -> Matrix {
         assert!(row0 + block_rows <= self.rows && col0 + block_cols <= self.cols,
             "block [{row0}+{block_rows}, {col0}+{block_cols}] out of bounds {:?}", self.shape());
         Matrix::from_fn(block_rows, block_cols, |i, j| self[(row0 + i, col0 + j)])
@@ -161,7 +170,7 @@ impl<T: Real> Matrix<T> {
     /// # Panics
     ///
     /// Panics if the block exceeds the matrix bounds.
-    pub fn set_block(&mut self, row0: usize, col0: usize, block: &Matrix<T>) {
+    pub fn set_block(&mut self, row0: usize, col0: usize, block: &Matrix) {
         assert!(row0 + block.rows <= self.rows && col0 + block.cols <= self.cols,
             "block [{row0}+{}, {col0}+{}] out of bounds {:?}", block.rows, block.cols, self.shape());
         for i in 0..block.rows {
@@ -176,7 +185,7 @@ impl<T: Real> Matrix<T> {
     /// a "padded matrix A").
     ///
     /// Returns `self` unchanged if already aligned.
-    pub fn pad_to_multiple(&self, multiple: usize) -> Matrix<T> {
+    pub fn pad_to_multiple(&self, multiple: usize) -> Matrix {
         assert!(multiple > 0, "padding multiple must be positive");
         let pr = self.rows.div_ceil(multiple) * multiple;
         let pc = self.cols.div_ceil(multiple) * multiple;
@@ -195,51 +204,44 @@ impl<T: Real> Matrix<T> {
     /// # Panics
     ///
     /// Panics if the shapes differ.
-    pub fn max_abs_diff(&self, other: &Matrix<T>) -> f64 {
+    pub fn max_abs_diff(&self, other: &Matrix) -> f64 {
         assert_eq!(self.shape(), other.shape(), "shape mismatch");
         self.data
             .iter()
             .zip(&other.data)
-            .map(|(&a, &b)| (a.to_f64() - b.to_f64()).abs())
+            .map(|(&a, &b)| (a - b).abs())
             .fold(0.0, f64::max)
     }
 
     /// `true` if every element differs from `other` by at most `tol`.
-    pub fn approx_eq(&self, other: &Matrix<T>, tol: f64) -> bool {
+    pub fn approx_eq(&self, other: &Matrix, tol: f64) -> bool {
         self.shape() == other.shape() && self.max_abs_diff(other) <= tol
     }
 
     /// Largest absolute element.
     pub fn max_abs(&self) -> f64 {
-        self.data.iter().map(|&a| a.to_f64().abs()).fold(0.0, f64::max)
-    }
-
-    /// Converts every element through `f64` into another supported format.
-    pub fn cast<U: Real>(&self) -> Matrix<U> {
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|&x| U::from_f64(x.to_f64())).collect(),
-        }
+        self.data.iter().map(|&a| a.abs()).fold(0.0, f64::max)
     }
 }
 
-impl<T: Real> Index<(usize, usize)> for Matrix<T> {
-    type Output = T;
-    fn index(&self, (i, j): (usize, usize)) -> &T {
+impl Index<(usize, usize)> for Matrix {
+    type Output = f64;
+    #[inline]
+    fn index(&self, (i, j): (usize, usize)) -> &f64 {
         assert!(i < self.rows && j < self.cols, "index ({i},{j}) out of bounds {:?}", self.shape());
         &self.data[i * self.cols + j]
     }
 }
 
-impl<T: Real> IndexMut<(usize, usize)> for Matrix<T> {
-    fn index_mut(&mut self, (i, j): (usize, usize)) -> &mut T {
+impl IndexMut<(usize, usize)> for Matrix {
+    #[inline]
+    fn index_mut(&mut self, (i, j): (usize, usize)) -> &mut f64 {
         assert!(i < self.rows && j < self.cols, "index ({i},{j}) out of bounds {:?}", self.shape());
         &mut self.data[i * self.cols + j]
     }
 }
 
-impl<T: Real> fmt::Debug for Matrix<T> {
+impl fmt::Debug for Matrix {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "Matrix {}x{} [", self.rows, self.cols)?;
         for i in 0..self.rows.min(8) {
@@ -326,13 +328,6 @@ mod tests {
         assert!(!a.approx_eq(&b, 1e-14));
         // The stored difference is fl(2 + 1e-12) - 2, within an ulp of 1e-12.
         assert!((a.max_abs_diff(&b) - 1e-12).abs() < 1e-15);
-    }
-
-    #[test]
-    fn cast_f32() {
-        let a: Matrix<f64> = Matrix::from_fn(2, 2, |i, j| (i + j) as f64 + 0.5);
-        let b: Matrix<f32> = a.cast();
-        assert_eq!(b[(1, 1)], 2.5f32);
     }
 
     #[test]

@@ -7,7 +7,6 @@
 //! larger oracles.
 
 use crate::dense::Matrix;
-use aabft_numerics::Real;
 
 /// `C = A · B` with sequential (left-to-right) accumulation per element —
 /// the exact summation order the probabilistic model of paper Section IV-B
@@ -26,7 +25,7 @@ use aabft_numerics::Real;
 /// let b = Matrix::identity(2);
 /// assert_eq!(gemm::multiply(&a, &b), a);
 /// ```
-pub fn multiply<T: Real>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
+pub fn multiply(a: &Matrix, b: &Matrix) -> Matrix {
     assert_eq!(a.cols(), b.rows(), "inner dimensions must agree: {:?} x {:?}", a.shape(), b.shape());
     let (m, n, q) = (a.rows(), a.cols(), b.cols());
     let mut c = Matrix::zeros(m, q);
@@ -37,7 +36,7 @@ pub fn multiply<T: Real>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
         let arow = a.row(i);
         for j in 0..q {
             let bcol = bt.row(j);
-            let mut s = T::ZERO;
+            let mut s = 0.0;
             for k in 0..n {
                 s += arow[k] * bcol[k];
             }
@@ -49,7 +48,7 @@ pub fn multiply<T: Real>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
 
 /// `C = A · B` using fused multiply-adds in the inner loop (the FMA
 /// execution mode of paper Section IV-D).
-pub fn multiply_fma<T: Real>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
+pub fn multiply_fma(a: &Matrix, b: &Matrix) -> Matrix {
     assert_eq!(a.cols(), b.rows(), "inner dimensions must agree: {:?} x {:?}", a.shape(), b.shape());
     let (m, n, q) = (a.rows(), a.cols(), b.cols());
     let mut c = Matrix::zeros(m, q);
@@ -58,7 +57,7 @@ pub fn multiply_fma<T: Real>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
         let arow = a.row(i);
         for j in 0..q {
             let bcol = bt.row(j);
-            let mut s = T::ZERO;
+            let mut s = 0.0;
             for k in 0..n {
                 s = arow[k].mul_add(bcol[k], s);
             }

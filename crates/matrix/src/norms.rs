@@ -7,7 +7,6 @@
 //! analyses use the same ingredients.
 
 use crate::dense::Matrix;
-use aabft_numerics::Real;
 
 /// Euclidean (2-) norm of a vector.
 ///
@@ -18,32 +17,32 @@ use aabft_numerics::Real;
 ///
 /// assert_eq!(norm2(&[3.0, 4.0]), 5.0);
 /// ```
-pub fn norm2<T: Real>(v: &[T]) -> f64 {
-    v.iter().map(|&x| x.to_f64() * x.to_f64()).sum::<f64>().sqrt()
+pub fn norm2(v: &[f64]) -> f64 {
+    v.iter().map(|&x| x * x).sum::<f64>().sqrt()
 }
 
 /// 1-norm of a vector (sum of absolute values).
-pub fn norm1<T: Real>(v: &[T]) -> f64 {
-    v.iter().map(|&x| x.to_f64().abs()).sum()
+pub fn norm1(v: &[f64]) -> f64 {
+    v.iter().map(|&x| x.abs()).sum()
 }
 
 /// ∞-norm of a vector (maximum absolute value).
-pub fn norm_inf<T: Real>(v: &[T]) -> f64 {
-    v.iter().map(|&x| x.to_f64().abs()).fold(0.0, f64::max)
+pub fn norm_inf(v: &[f64]) -> f64 {
+    v.iter().map(|&x| x.abs()).fold(0.0, f64::max)
 }
 
 /// Frobenius norm of a matrix.
-pub fn frobenius<T: Real>(m: &Matrix<T>) -> f64 {
-    m.as_slice().iter().map(|&x| x.to_f64() * x.to_f64()).sum::<f64>().sqrt()
+pub fn frobenius(m: &Matrix) -> f64 {
+    m.as_slice().iter().map(|&x| x * x).sum::<f64>().sqrt()
 }
 
 /// 2-norms of every row of `m`.
-pub fn row_norms2<T: Real>(m: &Matrix<T>) -> Vec<f64> {
+pub fn row_norms2(m: &Matrix) -> Vec<f64> {
     (0..m.rows()).map(|i| norm2(m.row(i))).collect()
 }
 
 /// 2-norms of every column of `m`.
-pub fn col_norms2<T: Real>(m: &Matrix<T>) -> Vec<f64> {
+pub fn col_norms2(m: &Matrix) -> Vec<f64> {
     (0..m.cols()).map(|j| norm2(&m.col(j))).collect()
 }
 

@@ -4,10 +4,9 @@
 //! sign/exponent/mantissa decomposition of binary floating-point numbers
 //! (Section IV, Eq. 9–13), and the fault-injection campaign (Section VI-C)
 //! flips individual bits of those fields. This module provides the
-//! decomposition, the exponent function `E = ceil(log2 |s*|)` of Eq. 13, and
-//! the [`Real`] abstraction over `f32`/`f64` used throughout the workspace.
-
-use std::fmt::{Debug, Display, LowerExp};
+//! decomposition, the exponent function `E = ceil(log2 |s*|)` of Eq. 13 and
+//! the unit in the last place. The workspace computes in binary64 only, as
+//! the paper's experiments do.
 
 /// Decomposed view of an IEEE-754 binary64 value.
 ///
@@ -123,143 +122,6 @@ pub fn ulp(x: f64) -> f64 {
     next - ax
 }
 
-/// Abstraction over the IEEE-754 binary formats used by the library.
-///
-/// The paper evaluates in double precision, but the model is parameterised
-/// over the mantissa length `t` (Eq. 21, 34–35 use `2^-2t`), so the library
-/// is generic over `f32`/`f64`. This trait is sealed: its surface is exactly
-/// what the workspace needs, and downstream implementations would not be
-/// meaningful.
-pub trait Real:
-    Copy
-    + PartialOrd
-    + Default
-    + Debug
-    + Display
-    + LowerExp
-    + Send
-    + Sync
-    + std::ops::Add<Output = Self>
-    + std::ops::Sub<Output = Self>
-    + std::ops::Mul<Output = Self>
-    + std::ops::Div<Output = Self>
-    + std::ops::Neg<Output = Self>
-    + std::ops::AddAssign
-    + 'static
-    + sealed::Sealed
-{
-    /// Total mantissa digits `t` including the implicit leading bit
-    /// (53 for binary64, 24 for binary32). This is the `t` of the paper's
-    /// `ε_M = 2^-t`.
-    const MANTISSA_DIGITS: u32;
-    /// Width of the raw bit representation.
-    const BITS: u32;
-    /// Number of explicit mantissa (fraction) bits (52 / 23).
-    const MANTISSA_BITS: u32;
-    /// Number of exponent bits (11 / 8).
-    const EXPONENT_BITS: u32;
-    /// Additive identity.
-    const ZERO: Self;
-    /// Multiplicative identity.
-    const ONE: Self;
-
-    /// Raw bits, widened to `u64` (upper bits zero for `f32`).
-    fn to_bits_u64(self) -> u64;
-    /// Inverse of [`Real::to_bits_u64`]; upper bits are ignored for `f32`.
-    fn from_bits_u64(bits: u64) -> Self;
-    /// Lossless widening to `f64` (exact for both supported formats).
-    fn to_f64(self) -> f64;
-    /// Rounds an `f64` to this format (identity for `f64`).
-    fn from_f64(x: f64) -> Self;
-    /// Absolute value.
-    fn abs(self) -> Self;
-    /// Square root.
-    fn sqrt(self) -> Self;
-    /// Fused multiply-add `self * a + b` with a single rounding.
-    fn mul_add(self, a: Self, b: Self) -> Self;
-    /// `true` for NaN or ±∞.
-    fn is_finite(self) -> bool;
-
-    /// The paper's machine unit rounding error `ε_M = 2^-t` (Section III).
-    fn epsilon_m() -> f64 {
-        (2.0f64).powi(-(Self::MANTISSA_DIGITS as i32))
-    }
-}
-
-mod sealed {
-    pub trait Sealed {}
-    impl Sealed for f32 {}
-    impl Sealed for f64 {}
-}
-
-impl Real for f64 {
-    const MANTISSA_DIGITS: u32 = 53;
-    const BITS: u32 = 64;
-    const MANTISSA_BITS: u32 = 52;
-    const EXPONENT_BITS: u32 = 11;
-    const ZERO: Self = 0.0;
-    const ONE: Self = 1.0;
-
-    fn to_bits_u64(self) -> u64 {
-        self.to_bits()
-    }
-    fn from_bits_u64(bits: u64) -> Self {
-        f64::from_bits(bits)
-    }
-    fn to_f64(self) -> f64 {
-        self
-    }
-    fn from_f64(x: f64) -> Self {
-        x
-    }
-    fn abs(self) -> Self {
-        f64::abs(self)
-    }
-    fn sqrt(self) -> Self {
-        f64::sqrt(self)
-    }
-    fn mul_add(self, a: Self, b: Self) -> Self {
-        f64::mul_add(self, a, b)
-    }
-    fn is_finite(self) -> bool {
-        f64::is_finite(self)
-    }
-}
-
-impl Real for f32 {
-    const MANTISSA_DIGITS: u32 = 24;
-    const BITS: u32 = 32;
-    const MANTISSA_BITS: u32 = 23;
-    const EXPONENT_BITS: u32 = 8;
-    const ZERO: Self = 0.0;
-    const ONE: Self = 1.0;
-
-    fn to_bits_u64(self) -> u64 {
-        self.to_bits() as u64
-    }
-    fn from_bits_u64(bits: u64) -> Self {
-        f32::from_bits(bits as u32)
-    }
-    fn to_f64(self) -> f64 {
-        self as f64
-    }
-    fn from_f64(x: f64) -> Self {
-        x as f32
-    }
-    fn abs(self) -> Self {
-        f32::abs(self)
-    }
-    fn sqrt(self) -> Self {
-        f32::sqrt(self)
-    }
-    fn mul_add(self, a: Self, b: Self) -> Self {
-        f32::mul_add(self, a, b)
-    }
-    fn is_finite(self) -> bool {
-        f32::is_finite(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -335,21 +197,5 @@ mod tests {
         assert_eq!(ulp(1.0), f64::EPSILON);
         assert_eq!(ulp(-1.0), f64::EPSILON);
         assert_eq!(ulp(4.0), 4.0 * f64::EPSILON);
-    }
-
-    #[test]
-    fn real_trait_constants() {
-        assert_eq!(<f64 as Real>::MANTISSA_DIGITS, 53);
-        assert_eq!(<f32 as Real>::MANTISSA_DIGITS, 24);
-        assert_eq!(f64::epsilon_m(), (2.0f64).powi(-53));
-        assert_eq!(f32::epsilon_m(), (2.0f64).powi(-24));
-    }
-
-    #[test]
-    fn real_bits_round_trip() {
-        let x = -123.456f64;
-        assert_eq!(f64::from_bits_u64(x.to_bits_u64()), x);
-        let y = -123.456f32;
-        assert_eq!(f32::from_bits_u64(y.to_bits_u64()), y);
     }
 }

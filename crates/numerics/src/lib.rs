@@ -4,8 +4,8 @@
 //! IEEE-754 arithmetic rather than merely perform it:
 //!
 //! * [`bits`] — sign/exponent/mantissa decomposition, the exponent function
-//!   `E = ceil(log2 |s*|)` of the paper's Eq. 13, and the [`bits::Real`]
-//!   abstraction over `f32`/`f64`;
+//!   `E = ceil(log2 |s*|)` of the paper's Eq. 13, and the unit in the last
+//!   place;
 //! * [`eft`] — error-free transforms (`two_sum`, `two_prod`);
 //! * [`expansion`] — Shewchuk floating-point expansions (exact adaptive
 //!   arithmetic, used as a cross-validation oracle);
@@ -46,5 +46,4 @@ pub mod model;
 pub mod rounding;
 pub mod superacc;
 
-pub use bits::Real;
 pub use model::{Moments, MulMode, RoundingMode, RoundingModel};

@@ -77,8 +77,8 @@ impl Moments {
     }
 }
 
-/// The rounding-error model parameterised by mantissa length `t`, rounding
-/// mode and multiply mode.
+/// The binary64 rounding-error model, parameterised by rounding mode and
+/// multiply mode.
 ///
 /// # Examples
 ///
@@ -86,15 +86,13 @@ impl Moments {
 /// use aabft_numerics::model::RoundingModel;
 ///
 /// let m = RoundingModel::binary64();
-/// assert_eq!(m.t, 53);
+/// assert_eq!(RoundingModel::T, 53);
 /// // Var(beta) for addition is at most 1/8 * 2^-2t:
 /// let add = m.beta_add();
 /// assert!(add.variance <= 0.125 * (2.0f64).powi(-106) + f64::MIN_POSITIVE);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RoundingModel {
-    /// Mantissa digits `t` including the implicit bit (53 for binary64).
-    pub t: u32,
     /// Rounding behaviour of the simulated hardware.
     pub rounding: RoundingMode,
     /// Separate vs fused multiply-add.
@@ -108,15 +106,14 @@ impl Default for RoundingModel {
 }
 
 impl RoundingModel {
+    /// Mantissa digits `t` including the implicit bit: the paper's `t` in
+    /// `ε_M = 2^-t`.
+    pub const T: u32 = f64::MANTISSA_DIGITS;
+
     /// Model for IEEE binary64 with round-to-nearest and separate mul/add —
     /// the configuration of the paper's experiments.
     pub fn binary64() -> Self {
-        RoundingModel { t: 53, rounding: RoundingMode::Nearest, mul_mode: MulMode::Separate }
-    }
-
-    /// Model for IEEE binary32.
-    pub fn binary32() -> Self {
-        RoundingModel { t: 24, rounding: RoundingMode::Nearest, mul_mode: MulMode::Separate }
+        RoundingModel { rounding: RoundingMode::Nearest, mul_mode: MulMode::Separate }
     }
 
     /// Returns a copy using fused multiply-add semantics.
@@ -133,7 +130,7 @@ impl RoundingModel {
 
     /// `2^-2t`, the squared machine unit.
     fn two_pow_m2t(&self) -> f64 {
-        (2.0f64).powi(-2 * self.t as i32)
+        (2.0f64).powi(-2 * Self::T as i32)
     }
 
     /// Mantissa-error moments for addition/subtraction (Eq. 20–21).
@@ -143,7 +140,7 @@ impl RoundingModel {
                 Moments { mean: 0.0, variance: 0.125 * self.two_pow_m2t() }
             }
             RoundingMode::Truncation => Moments {
-                mean: 0.5 * (2.0f64).powi(-(self.t as i32)),
+                mean: 0.5 * (2.0f64).powi(-(Self::T as i32)),
                 variance: self.two_pow_m2t() / 12.0,
             },
         }
@@ -161,7 +158,7 @@ impl RoundingModel {
                 variance: self.two_pow_m2t() / 12.0,
             },
             RoundingMode::Truncation => Moments {
-                mean: 0.5 * (2.0f64).powi(-(self.t as i32)),
+                mean: 0.5 * (2.0f64).powi(-(Self::T as i32)),
                 variance: self.two_pow_m2t() / 12.0,
             },
         }

@@ -25,6 +25,11 @@ for workers in 1 4; do
     RAYON_NUM_THREADS=$workers cargo test -q -p aabft-faults --test fast_path
 done
 
+# The committed experiment outputs must still be what the binaries
+# print: a change that moves a table or an ablation has to regenerate it.
+echo "==> results check"
+scripts/check_results.sh
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 # The packed clean-path engine (pack module + microkernel) gets an

@@ -59,7 +59,7 @@ macro_rules! range_strategies {
         }
     )*};
 }
-range_strategies!(f64, f32, usize, u64, u32, i64, i32);
+range_strategies!(f64, usize, u64, u32, i64, i32);
 
 macro_rules! tuple_strategies {
     ($(($($name:ident : $idx:tt),+);)*) => {$(

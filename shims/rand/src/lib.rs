@@ -54,12 +54,6 @@ impl Standard for f64 {
     }
 }
 
-impl Standard for f32 {
-    fn sample_standard<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        (rng.next_u64() >> 40) as f32 * (1.0 / (1u64 << 24) as f32)
-    }
-}
-
 impl Standard for bool {
     fn sample_standard<R: RngCore + ?Sized>(rng: &mut R) -> Self {
         rng.next_u64() & 1 == 1
@@ -95,26 +89,22 @@ macro_rules! int_range_impls {
 }
 int_range_impls!(usize, u64, u32, i64, i32, i128);
 
-macro_rules! float_range_impls {
-    ($($t:ty),*) => {$(
-        impl SampleRange<$t> for std::ops::Range<$t> {
-            fn sample_single<R: RngCore + ?Sized>(self, rng: &mut R) -> $t {
-                assert!(self.start < self.end, "empty range in gen_range");
-                let u: $t = Standard::sample_standard(rng);
-                self.start + u * (self.end - self.start)
-            }
-        }
-        impl SampleRange<$t> for std::ops::RangeInclusive<$t> {
-            fn sample_single<R: RngCore + ?Sized>(self, rng: &mut R) -> $t {
-                let (lo, hi) = (*self.start(), *self.end());
-                assert!(lo <= hi, "empty range in gen_range");
-                let u: $t = Standard::sample_standard(rng);
-                lo + u * (hi - lo)
-            }
-        }
-    )*};
+impl SampleRange<f64> for std::ops::Range<f64> {
+    fn sample_single<R: RngCore + ?Sized>(self, rng: &mut R) -> f64 {
+        assert!(self.start < self.end, "empty range in gen_range");
+        let u: f64 = Standard::sample_standard(rng);
+        self.start + u * (self.end - self.start)
+    }
 }
-float_range_impls!(f64, f32);
+
+impl SampleRange<f64> for std::ops::RangeInclusive<f64> {
+    fn sample_single<R: RngCore + ?Sized>(self, rng: &mut R) -> f64 {
+        let (lo, hi) = (*self.start(), *self.end());
+        assert!(lo <= hi, "empty range in gen_range");
+        let u: f64 = Standard::sample_standard(rng);
+        lo + u * (hi - lo)
+    }
+}
 
 /// Convenience sampling methods, auto-implemented for every [`RngCore`].
 pub trait Rng: RngCore {

@@ -19,21 +19,26 @@ fn multi_sm_device() -> Device {
     Device::new(DeviceConfig::builder().num_sms(13).build().expect("valid device config"))
 }
 
+/// 64 small protected GEMMs of three shapes, all far below 256².
+fn small_requests() -> Vec<(Matrix, Matrix)> {
+    (0..64)
+        .map(|k| {
+            let n = 32 + 8 * (k % 3); // 32, 40, 48
+            (
+                Matrix::from_fn(n, n, move |i, j| ((i * 3 + j + k) as f64 * 0.13).sin()),
+                Matrix::from_fn(n, n, move |i, j| ((i + 2 * j + 7 * k) as f64 * 0.11).cos()),
+            )
+        })
+        .collect()
+}
+
 /// The headline acceptance check: a batch of 64 small (≤ 256²) protected
 /// GEMMs must model at least 1.5× faster than the same 64 requests run
 /// sequentially on a multi-SM device — while producing bit-identical
 /// products and identical detection outcomes.
 #[test]
 fn batch_of_64_small_gemms_models_1_5x_faster_and_stays_bit_identical() {
-    let requests: Vec<_> = (0..64)
-        .map(|k| {
-            let n = 32 + 8 * (k % 3); // 32, 40, 48 — all far below 256²
-            (
-                Matrix::from_fn(n, n, move |i, j| ((i * 3 + j + k) as f64 * 0.13).sin()),
-                Matrix::from_fn(n, n, move |i, j| ((i + 2 * j + 7 * k) as f64 * 0.11).cos()),
-            )
-        })
-        .collect();
+    let requests = small_requests();
     let gemm = AAbftGemm::new(config(8));
     let model = PerfModel::k20c();
 
@@ -61,6 +66,35 @@ fn batch_of_64_small_gemms_models_1_5x_faster_and_stays_bit_identical() {
         );
         assert_eq!(seq.errors_detected(), bat.errors_detected());
         assert_eq!(seq.report, bat.report, "detection outcomes must be identical");
+    }
+}
+
+/// The modelled batch timeline is a function of the requests alone: the
+/// same batch under one, two and four workers, five runs each, models the
+/// same makespan to the bit.
+#[test]
+fn batched_makespan_is_bit_identical_across_worker_counts() {
+    let requests = small_requests();
+    let batch = BatchGemm::new(AAbftGemm::new(config(8))).with_streams(8);
+    let model = PerfModel::k20c();
+    let mut makespans = Vec::new();
+    for workers in [1, 2, 4] {
+        let pool =
+            rayon::ThreadPoolBuilder::new().num_threads(workers).build().expect("pool builds");
+        for _ in 0..5 {
+            let device = multi_sm_device();
+            pool.install(|| batch.execute(&device, &requests)).expect("batch runs");
+            let num_sms = device.config().num_sms;
+            makespans.push((workers, model.stream_makespan(&device.take_log(), num_sms)));
+        }
+    }
+    let first = makespans[0].1;
+    for &(workers, makespan) in &makespans {
+        assert_eq!(
+            makespan.to_bits(),
+            first.to_bits(),
+            "{workers} workers modelled {makespan}s, one worker {first}s"
+        );
     }
 }
 
