@@ -98,17 +98,6 @@ pub fn checksum_epsilon(n: usize, y: f64, omega: f64, model: &RoundingModel) -> 
     inner_product_bound_moments(n, y, model).confidence_radius(omega)
 }
 
-/// Tightened variance using the *actual* running magnitudes of the
-/// summation (Eq. 26 before the `s_k ≤ k·y` relaxation): callers that have
-/// the intermediate sums can obtain a bound that tracks the data rather
-/// than the worst case. Exposed for the ablation study; the runtime kernel
-/// uses the closed form above, as the paper does.
-pub fn running_sum_sigma(partial_sums: &[f64]) -> f64 {
-    let u2 = (2.0f64).powi(-2 * RoundingModel::T as i32);
-    let var: f64 = partial_sums.iter().skip(1).map(|&s| s * s).sum::<f64>() * u2 / 8.0;
-    var.sqrt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,22 +154,6 @@ mod tests {
         // actual 2.25e-14 rounding error, far below SEA's 8.58e-10.
         let eps = checksum_epsilon(512, 1.0, 3.0, &m64());
         assert!(eps > 1e-13 && eps < 1e-11, "eps = {eps:e}");
-    }
-
-    #[test]
-    fn running_sum_tighter_than_worst_case() {
-        // Alternating-sign data keeps partial sums small: the data-driven
-        // bound must be far below the k*y worst case.
-        let n = 1000;
-        let mut partials = Vec::with_capacity(n);
-        let mut s = 0.0;
-        for k in 0..n {
-            s += if k % 2 == 0 { 1.0 } else { -1.0 };
-            partials.push(s);
-        }
-        let tight = running_sum_sigma(&partials);
-        let loose = sum_sigma(n, 1.0, &m64());
-        assert!(tight < loose / 100.0, "tight {tight} loose {loose}");
     }
 
     #[test]

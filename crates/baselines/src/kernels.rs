@@ -417,7 +417,11 @@ impl Kernel for BaselineCheckKernel<'_> {
                 EpsilonRule::Sea { .. } => self.sea_col_eps(ctx, block_i, block_j, j),
             };
             let diff = ctx.sub(reference, checksum);
-            if ctx.abs(diff) > eps {
+            // `NaN > eps` is false: a non-finite difference or tolerance
+            // (Inf − Inf from a corrupted element) must flag on its own,
+            // as it does in A-ABFT's check kernel.
+            let adiff = ctx.abs(diff);
+            if !(diff.is_finite() && eps.is_finite()) || adiff > eps {
                 col_mask |= 1 << tid;
             }
         }
@@ -437,7 +441,8 @@ impl Kernel for BaselineCheckKernel<'_> {
                 EpsilonRule::Sea { .. } => self.sea_row_eps(ctx, block_i, block_j, i),
             };
             let diff = ctx.sub(reference, checksum);
-            if ctx.abs(diff) > eps {
+            let adiff = ctx.abs(diff);
+            if !(diff.is_finite() && eps.is_finite()) || adiff > eps {
                 row_mask |= 1 << tid;
             }
         }
@@ -525,5 +530,30 @@ mod tests {
         let k = BaselineCheckKernel::new(&dc, &report2, acc.rows, brc.cols, EpsilonRule::Fixed(1e-3));
         Device::with_defaults().launch(k.grid(), &k);
         assert!(report2.to_vec().iter().all(|&w| w == 0.0));
+    }
+
+    #[test]
+    fn check_flags_an_inf_minus_inf_difference() {
+        // Element (2, 3) and both checksums covering it read +Inf, so each
+        // checksum difference is Inf − Inf = NaN. However loose the bound,
+        // that line is flagged.
+        let bs = 4;
+        let a: Matrix = Matrix::from_fn(8, 8, |i, j| ((i + j) as f64 * 0.11).sin());
+        let b: Matrix = Matrix::from_fn(8, 8, |i, j| ((i * 2 + j) as f64 * 0.13).cos());
+        let acc = aabft_core::encoding::encode_columns(&a, bs, 1, 1);
+        let brc = aabft_core::encoding::encode_rows(&b, bs, 1, 1);
+        let mut c = aabft_matrix::gemm::multiply(&acc.matrix, &brc.matrix);
+        c[(2, 3)] = f64::INFINITY;
+        c[(acc.rows.checksum_line(0), 3)] = f64::INFINITY;
+        c[(2, brc.cols.checksum_line(0))] = f64::INFINITY;
+        let dc = DeviceBuffer::from_matrix(&c);
+        let report = DeviceBuffer::zeros(REPORT_WORDS * 4);
+        let loose = EpsilonRule::Fixed(1e300);
+        let k = BaselineCheckKernel::new(&dc, &report, acc.rows, brc.cols, loose);
+        Device::with_defaults().launch(k.grid(), &k);
+        let raw = report.to_vec();
+        assert_eq!(raw[0] as u64, 1 << 3, "column 3 flagged in block (0,0)");
+        assert_eq!(raw[1] as u64, 1 << 2, "row 2 flagged in block (0,0)");
+        assert!(raw[2..].iter().all(|&w| w == 0.0), "no other block flagged: {raw:?}");
     }
 }

@@ -114,13 +114,10 @@ COMMANDS
              --snapshots <path> (from campaign --snapshot)
              --campaign <path>  (from campaign --json; cross-checked
              field-for-field against the snapshot counters)
-             --serve-metrics <path>  (from serve --metrics; placement
-             balance: shard depths, per-replica waves/steals/busy, and
-             cost-model error: calibration ratios flagged outside
-             [0.5, 2.0], observed per-shard queue delay)
+             --serve-metrics <path>  (from serve --metrics; queue and
+             shard depths, per-replica waves and busy time)
              --serve-bench <path>  (from serve --json; render the
-             record array, --kind load|policy-matrix filters; legacy
-             feedback-matrix records and untagged records still render)
+             record array, --kind load filters)
              gate flags (non-zero exit on violation):
              --assert-min-detection 90 --assert-headroom-p99 1.0
              --assert-zero-sdc true --assert-zero-unrecovered true
@@ -135,12 +132,11 @@ COMMANDS
              --folded-sm <path>  per-SM variant (load balance; per-SM times
                                  overlap, totals are not pipeline time)
   serve      ABFT-as-a-service load/chaos bench: shape-sharded admission,
-             one placement rule (calibrated PerfModel-costed placement
-             with work stealing), deadline classes, EWMA escalation
-             ladder, per-replica breakers
+             pull dispatch (any idle replica takes the oldest ready
+             wave), deadline classes, EWMA escalation ladder,
+             per-replica breakers
              --n 32 --rates 200,0 (requests/s, 0 = blast)
-             --replicas 2 (count) or 26:packed,6:scalar,... (het specs;
-             SMS:ENGINE@CLAIMED prices as CLAIMED — a mis-modelled spec)
+             --replicas 2 (count) or 26:packed,6:scalar,... (SMS:ENGINE)
              --requests 160 --queue-cap 256 --wave 8
              --interactive-ms 20 --batch-ms 500 --retries 2
              --mix verified|mixed --seed 7
@@ -148,14 +144,6 @@ COMMANDS
              --json BENCH_serve.json  one record per load level
              gate flags (non-zero exit on violation):
              --assert-zero-sdc true --assert-shed true --assert-ladder true
-             placement matrix (replays one skewed-shape stream through a
-             blind round-robin baseline of single-replica servers and
-             through the server; reports per-replica utilization and
-             calibration ratios):
-             --policy-matrix true --small-n 64 --big-n 256 --big-every 4
-             --requests 48 --rounds 1 (best-of-N per row)
-             --replicas 26:packed,6:scalar,6:scalar (default)
-             --assert-policy-speedup 1.3  (server vs round-robin)
   help       this text
 
 OBSERVABILITY (all commands)
@@ -598,9 +586,6 @@ fn parse_replicas(args: &Args, default: &str) -> Vec<aabft_serve::ReplicaSpec> {
 /// reference, and writes one JSON record per level. `--assert-*` flags
 /// turn service-level objectives into gates (non-zero exit on
 /// violation); the exactly-one-outcome accounting is always enforced.
-/// With `--policy-matrix true`, instead replays one skewed-shape stream
-/// over a heterogeneous fleet through a round-robin baseline and through
-/// the server, and gates the server's throughput win.
 pub fn cmd_serve(args: &Args) {
     use aabft_serve::bench::{run_bench, BenchConfig, TenantMix};
     use aabft_serve::{LadderConfig, ServeConfig};
@@ -625,14 +610,9 @@ pub fn cmd_serve(args: &Args) {
         ..ServeConfig::default()
     };
 
-    if args.get("policy-matrix", false) {
-        run_serve_policy_matrix(args, serve, &session);
-        return;
-    }
-
     let cfg = BenchConfig {
         n: args.get("n", 32usize),
-        replicas: parse_replicas(args, "2").len(),
+        replicas: parse_replicas(args, "2"),
         rates,
         requests: args.get("requests", 160usize),
         storm: args.get("storm", false),
@@ -645,10 +625,11 @@ pub fn cmd_serve(args: &Args) {
     };
     let reports = run_bench(&cfg, &session.obs);
 
+    let labels: Vec<String> = cfg.replicas.iter().map(aabft_serve::ReplicaSpec::label).collect();
     println!(
-        "serve bench: n = {}, {} replica(s), {} tenant mix{}",
+        "serve bench: n = {}, replicas [{}], {} tenant mix{}",
         cfg.n,
-        cfg.replicas,
+        labels.join(", "),
         args.get("mix", "verified".to_string()),
         if cfg.storm { ", seeded fault storm" } else { "" }
     );
@@ -733,126 +714,6 @@ pub fn cmd_serve(args: &Args) {
     }
 }
 
-/// `aabft serve --policy-matrix true` — replays one seeded skewed-shape
-/// stream over a heterogeneous replica fleet through the harness's
-/// round-robin baseline and through the server, and reports GEMMs/s,
-/// per-replica utilization and the server's end-of-run calibration
-/// ratios (a replica whose spec lies about its engine shows a ratio far
-/// from its honest peers').
-fn run_serve_policy_matrix(args: &Args, serve: aabft_serve::ServeConfig, session: &ObsSession) {
-    use aabft_serve::bench::{run_policy_matrix, MatrixBenchConfig, ROUND_ROBIN, SERVER};
-
-    let defaults = MatrixBenchConfig::default();
-    let cfg = MatrixBenchConfig {
-        small_n: args.get("small-n", defaults.small_n),
-        big_n: args.get("big-n", defaults.big_n),
-        big_every: args.get("big-every", defaults.big_every),
-        requests: args.get("requests", defaults.requests),
-        replicas: parse_replicas(args, "26:packed,6:scalar,6:scalar"),
-        seed: args.get("seed", defaults.seed),
-        rounds: args.get("rounds", defaults.rounds),
-        serve,
-        config: build_config(args),
-    };
-    let reports = run_policy_matrix(&cfg, &session.obs);
-
-    let labels: Vec<String> =
-        cfg.replicas.iter().map(aabft_serve::ReplicaSpec::label).collect();
-    println!(
-        "serve placement matrix: {} requests ({}³ skewed with {}³ every {}), replicas [{}]",
-        cfg.requests,
-        cfg.small_n,
-        cfg.big_n,
-        cfg.big_every,
-        labels.join(", ")
-    );
-    println!(
-        "{:>16} {:>6} {:>5} {:>7} {:>8} {:>10}  per-replica util (waves, stolen)",
-        "placement", "done", "sdc", "steals", "wall s", "gemms/s"
-    );
-    for r in &reports {
-        let util: Vec<String> = r
-            .per_replica
-            .iter()
-            .map(|u| {
-                format!("{} {:.0}% ({}w,{}s)", u.label, 100.0 * u.utilization, u.waves, u.steals)
-            })
-            .collect();
-        println!(
-            "{:>16} {:>6} {:>5} {:>7} {:>8.3} {:>10.1}  {}",
-            r.placement,
-            r.completed,
-            r.sdc,
-            r.steals,
-            r.wall_s,
-            r.gemms_per_sec,
-            util.join("  ")
-        );
-    }
-    let row = |label: &str| reports.iter().find(|r| r.placement == label);
-    if let Some(server) = row(SERVER) {
-        println!("  calibration (measured/modelled EWMA, {SERVER} row):");
-        for (idx, u) in server.per_replica.iter().enumerate() {
-            let ratios: Vec<String> = u
-                .calibration
-                .iter()
-                .map(|((m, n, q), ratio)| format!("{m}x{n}x{q} {ratio:.2}"))
-                .collect();
-            println!(
-                "    replica {idx} {:>16}: {}",
-                u.label,
-                if ratios.is_empty() { "(cold)".to_string() } else { ratios.join("  ") }
-            );
-        }
-        println!(
-            "    {} calibration update(s), {} cold-class fallback(s)",
-            server.cal_updates, server.cal_cold_hits
-        );
-    }
-    let rr = row(ROUND_ROBIN).map_or(0.0, |r| r.gemms_per_sec);
-    let served = row(SERVER).map_or(0.0, |r| r.gemms_per_sec);
-    if rr > 0.0 {
-        println!("{SERVER} vs {ROUND_ROBIN}: {:.2}x GEMMs/s", served / rr);
-    }
-
-    let json_path = args.get("json", String::new());
-    if !json_path.is_empty() {
-        let records: Vec<JsonObject> = reports.iter().map(|r| r.to_json()).collect();
-        aabft_obs::json::write_array(Path::new(&json_path), &records);
-        println!("placement reports written to {json_path}");
-    }
-    session.finish(&[]);
-
-    let mut violations = Vec::new();
-    for r in &reports {
-        if r.completed != r.submitted {
-            violations.push(format!(
-                "{}: {} submitted but {} completed",
-                r.placement, r.submitted, r.completed
-            ));
-        }
-    }
-    if args.get("assert-zero-sdc", false) {
-        let sdc: u64 = reports.iter().map(|r| r.sdc).sum();
-        if sdc > 0 {
-            violations.push(format!("{sdc} released product(s) were critically wrong (SDC)"));
-        }
-    }
-    let floor = args.get("assert-policy-speedup", f64::NAN);
-    if floor.is_finite() && (rr <= 0.0 || served / rr < floor) {
-        violations.push(format!(
-            "{SERVER} {served:.1} GEMMs/s is {:.2}x {ROUND_ROBIN} {rr:.1}, below required {floor}x",
-            if rr > 0.0 { served / rr } else { f64::NAN },
-        ));
-    }
-    if !violations.is_empty() {
-        for v in &violations {
-            eprintln!("ASSERTION FAILED: {v}");
-        }
-        std::process::exit(1);
-    }
-}
-
 /// Counter value from one snapshot record (0 if absent).
 fn snap_counter(snap: &JsonValue, name: &str) -> u64 {
     snap.get("counters").and_then(|c| c.get(name)).and_then(|v| v.as_u64()).unwrap_or(0)
@@ -873,9 +734,8 @@ fn metrics_counter(metrics: &JsonValue, name: &str) -> u64 {
     metrics.get("counters").and_then(|c| c.get(name)).and_then(|v| v.as_u64()).unwrap_or(0)
 }
 
-/// Renders the serve placement-balance section from a metrics-registry
-/// JSON: queue/shard depths and per-replica waves, steals, busy time and
-/// inflight modelled cost.
+/// Renders the serve dispatch section from a metrics-registry JSON:
+/// queue and shard depths, and per-replica waves and busy time.
 fn report_serve_metrics(path: &str) {
     use aabft_obs::json::JsonValue;
     let text =
@@ -883,11 +743,10 @@ fn report_serve_metrics(path: &str) {
     let metrics = aabft_obs::json::parse(&text)
         .unwrap_or_else(|e| panic!("{path}: invalid metrics JSON: {e}"));
 
-    println!("serve placement balance ({path})");
+    println!("serve dispatch ({path})");
     println!(
-        "  waves {} (stolen {}), queue depth {:.0}, {} shard class(es)",
+        "  waves {}, queue depth {:.0}, {} shard class(es)",
         metrics_counter(&metrics, "serve.waves"),
-        metrics_counter(&metrics, "serve.steals"),
         metrics_gauge(&metrics, "serve.queue_depth").unwrap_or(0.0),
         metrics_gauge(&metrics, "serve.shards").unwrap_or(0.0),
     );
@@ -911,10 +770,8 @@ fn report_serve_metrics(path: &str) {
             break;
         }
         println!(
-            "  replica {r}: {waves} wave(s), {} stolen, busy {:.1} ms, inflight cost {:.3e}{}",
-            metrics_counter(&metrics, &format!("serve.replica.{r}.steals")),
+            "  replica {r}: {waves} wave(s), busy {:.1} ms{}",
             busy.unwrap_or(0.0) / 1e3,
-            metrics_gauge(&metrics, &format!("serve.replica.{r}.inflight_cost")).unwrap_or(0.0),
             if metrics_gauge(&metrics, &format!("serve.replica.{r}.quarantined"))
                 == Some(1.0)
             {
@@ -923,57 +780,6 @@ fn report_serve_metrics(path: &str) {
                 ""
             },
         );
-    }
-    report_model_error(&metrics);
-}
-
-/// Renders the cost-model-error section from the calibration gauges the
-/// serve plane exports: per-(replica, shape-class) measured/modelled
-/// EWMA ratios, per-shard observed queueing delay, and the calibration
-/// update/cold-fallback counters. Ratios outside `[0.5, 2.0]` are
-/// flagged `DRIFT` — a replica whose ratio sits far from its peers' for
-/// the same class is mis-modelled (its spec lies about the device).
-fn report_model_error(metrics: &JsonValue) {
-    use aabft_obs::json::JsonValue;
-    let Some(JsonValue::Object(gauges)) = metrics.get("gauges") else {
-        return;
-    };
-    // (replica, class) -> ratio, from `serve.replica.{r}.cal.{class}`.
-    let mut cal: Vec<(u64, &str, f64)> = gauges
-        .iter()
-        .filter_map(|(k, v)| {
-            let rest = k.strip_prefix("serve.replica.")?;
-            let (replica, class) = rest.split_once(".cal.")?;
-            Some((replica.parse().ok()?, class, v.as_f64()?))
-        })
-        .collect();
-    let mut delays: Vec<(&str, f64)> = gauges
-        .iter()
-        .filter_map(|(k, v)| {
-            let class =
-                k.strip_prefix("serve.shard.")?.strip_suffix(".queue_delay_us")?;
-            Some((class, v.as_f64()?))
-        })
-        .collect();
-    let updates = metrics_counter(metrics, "placement.cal.updates");
-    if cal.is_empty() && delays.is_empty() && updates == 0 {
-        return;
-    }
-
-    println!(
-        "  cost-model error ({updates} calibration update(s), {} cold fallback(s))",
-        metrics_counter(metrics, "placement.cal.cold_hits")
-    );
-    cal.sort_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)));
-    for (replica, class, ratio) in &cal {
-        println!(
-            "    replica {replica} {class:>14}: measured/modelled {ratio:8.2}{}",
-            if !(0.5..=2.0).contains(ratio) { "  DRIFT (outside [0.5, 2.0])" } else { "" }
-        );
-    }
-    delays.sort_by(|a, b| b.1.total_cmp(&a.1));
-    for (class, delay_us) in delays {
-        println!("    shard {class:>16}: observed queue delay {:.3} ms", delay_us / 1e3);
     }
 }
 
@@ -1004,32 +810,16 @@ fn report_serve_bench(path: &str, kind_filter: &str) {
 }
 
 /// One report line per bench record matching `kind_filter` (empty = all).
-/// Records carry a `kind` tag (`"load"`, `"policy-matrix"`, or the
-/// legacy `"feedback-matrix"`); untagged legacy records are inferred
-/// from shape — a `rate` field means a load level, a `policy` field
-/// means a policy-matrix row. Matrix rows written before static pricing
-/// was deleted carry a `feedback` key, which is shown when present.
+/// Records carry a `kind` tag; `aabft serve` writes `"load"` records, one
+/// per load level, and any other kind renders as unrecognized.
 fn serve_bench_lines(records: &[JsonValue], kind_filter: &str) -> Vec<String> {
-    let kind_of = |r: &JsonValue| -> String {
-        if let Some(k) = r.get("kind").and_then(|v| v.as_str()) {
-            return k.to_string();
-        }
-        // Legacy untagged records: infer from shape.
-        if r.get("rate").is_some() {
-            "load".to_string()
-        } else if r.get("policy").is_some() {
-            "policy-matrix".to_string()
-        } else {
-            "unknown".to_string()
-        }
-    };
     let num = |r: &JsonValue, k: &str| r.get(k).and_then(|v| v.as_f64()).unwrap_or(0.0);
     let int = |r: &JsonValue, k: &str| r.get(k).and_then(|v| v.as_u64()).unwrap_or(0);
     records
         .iter()
-        .map(|r| (r, kind_of(r)))
-        .filter(|(_, k)| kind_filter.is_empty() || k == kind_filter)
-        .map(|(r, kind)| match kind.as_str() {
+        .map(|r| (r, r.get("kind").and_then(|v| v.as_str()).unwrap_or("unknown")))
+        .filter(|(_, k)| kind_filter.is_empty() || *k == kind_filter)
+        .map(|(r, kind)| match kind {
             "load" => format!(
                 "  [load] rate {:>6} sub {} shed {} done {} sdc {} p99 {:.3} ms {:.1} gemms/s",
                 if num(r, "rate") > 0.0 {
@@ -1044,18 +834,6 @@ fn serve_bench_lines(records: &[JsonValue], kind_filter: &str) -> Vec<String> {
                 num(r, "p99_ms"),
                 num(r, "gemms_per_sec"),
             ),
-            "policy-matrix" | "feedback-matrix" => format!(
-                "  [{kind}] {:>16}{} done {} sdc {} steals {} {:.1} gemms/s, {} cal update(s)",
-                r.get("policy").and_then(|v| v.as_str()).unwrap_or("?"),
-                r.get("feedback")
-                    .and_then(|v| v.as_str())
-                    .map_or(String::new(), |f| format!(" feedback {f:>5}")),
-                int(r, "completed"),
-                int(r, "sdc"),
-                int(r, "steals"),
-                num(r, "gemms_per_sec"),
-                int(r, "cal_updates"),
-            ),
             other => format!("  [{other}] unrecognized record shape"),
         })
         .collect()
@@ -1069,7 +847,7 @@ fn serve_bench_lines(records: &[JsonValue], kind_filter: &str) -> Vec<String> {
 /// cross-checked against the campaign's own `DetectionStats`. `--assert-*`
 /// flags turn report lines into gates: any violation exits non-zero.
 /// `--serve-metrics <path>` (a metrics-registry JSON from `aabft
-/// serve --metrics`) prepends the serve placement-balance section.
+/// serve --metrics`) prepends the serve dispatch section.
 pub fn cmd_report(args: &Args) {
     let snap_path = args.get("snapshots", String::new());
     let serve_metrics = args.get("serve-metrics", String::new());
@@ -1396,16 +1174,14 @@ mod tests {
     }
 
     #[test]
-    fn serve_bench_report_renders_legacy_and_new_matrix_records() {
-        let dir = std::env::temp_dir();
-        let fresh = dir.join("aabft_cli_test_policy_matrix.json");
+    fn serve_bench_report_renders_load_records() {
+        let fresh = std::env::temp_dir().join("aabft_cli_test_serve_bench.json");
         cmd_serve(&args(&[
-            ("policy-matrix", "true"),
             ("replicas", "13:packed,4:scalar"),
-            ("small-n", "16"),
-            ("big-n", "32"),
-            ("requests", "6"),
+            ("n", "16"),
             ("bs", "8"),
+            ("rates", "0"),
+            ("requests", "8"),
             ("assert-zero-sdc", "true"),
             ("json", fresh.to_str().unwrap()),
         ]));
@@ -1415,24 +1191,19 @@ mod tests {
         };
         let fresh_records = parse_array(&std::fs::read_to_string(&fresh).unwrap());
         std::fs::remove_file(&fresh).ok();
-        assert_eq!(fresh_records.len(), 2, "one round-robin row and one server row");
-        assert!(fresh_records.iter().all(|r| r.get("feedback").is_none()));
+        assert_eq!(fresh_records.len(), 1, "one record per load level");
 
         let committed = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
         let mut records = parse_array(&std::fs::read_to_string(committed).unwrap());
-        let legacy = records.len();
-        assert!(records.iter().any(|r| r.get("feedback").is_some()));
-        records.push(fresh_records.into_iter().last().unwrap());
+        let committed_len = records.len();
+        records.extend(fresh_records);
 
         let lines = serve_bench_lines(&records, "");
-        assert_eq!(lines.len(), legacy + 1, "every record renders");
-        assert!(lines.iter().all(|l| !l.contains("unrecognized")), "{lines:#?}");
-        assert!(lines.iter().any(|l| l.contains("[feedback-matrix]") && l.contains("feedback false")));
-        let new_row = lines.last().unwrap();
-        assert!(new_row.contains("[policy-matrix]") && new_row.contains("costed-stealing"));
-        assert!(!new_row.contains("feedback"), "{new_row}");
-        let matrix = serve_bench_lines(&records, "policy-matrix");
-        assert_eq!(matrix.last(), Some(new_row));
+        assert_eq!(lines.len(), committed_len + 1, "every record renders");
+        assert!(lines.iter().all(|l| l.starts_with("  [load]")), "{lines:#?}");
+        assert!(lines.last().unwrap().contains("rate  blast sub 8"), "{lines:#?}");
+        assert_eq!(serve_bench_lines(&records, "load"), lines);
+        assert!(serve_bench_lines(&records, "policy-matrix").is_empty());
     }
 
     #[test]

@@ -15,21 +15,6 @@
 //! ([`GroundTruth::Critical`]) is a silent data corruption. Verified
 //! completions passed the checksum check, so any `Critical` among them
 //! is the exact failure A-ABFT exists to prevent — the zero-SDC gate.
-//!
-//! A second bench mode, [`run_policy_matrix`], measures the placement
-//! plane itself: a seeded skewed-shape request stream (mostly small
-//! GEMMs, every k-th a large one) over heterogeneous replicas, replayed
-//! twice — once through a blind round-robin baseline the harness builds
-//! from one single-replica [`Server`] per spec (request `t` goes to
-//! server `t mod N`), once through one [`Server`] over the whole fleet —
-//! reporting GEMMs/s, per-replica utilization and the end-of-run
-//! calibration ratios. Round-robin lands a share of the large GEMMs on
-//! small/scalar replicas, which burn several times the compute per
-//! product; the server keeps them on the replica its calibrated prices
-//! say finishes them soonest, so the same stream drains measurably
-//! faster — the headline claim gated by `tier1.sh`. Over a
-//! *mis-modelled* fleet (a replica whose spec lies about its engine)
-//! the liar's calibration ratio shows the correction at work.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -104,8 +89,8 @@ fn class_of(t: usize) -> DeadlineClass {
 pub struct BenchConfig {
     /// Square operand size.
     pub n: usize,
-    /// Replica devices per level.
-    pub replicas: usize,
+    /// The replica fleet each level's server runs on.
+    pub replicas: Vec<ReplicaSpec>,
     /// Offered rates (requests/second); `0` = submit as fast as
     /// possible (deterministic overload).
     pub rates: Vec<f64>,
@@ -134,7 +119,7 @@ impl Default for BenchConfig {
     fn default() -> Self {
         BenchConfig {
             n: 48,
-            replicas: 2,
+            replicas: ReplicaSpec::defaults(2),
             rates: vec![200.0, 0.0],
             requests: 160,
             storm: false,
@@ -287,12 +272,13 @@ fn run_level(
     let late0 = metrics.counter("serve.late_completions");
 
     let gemm = AAbftGemm::new(*gemm_config);
-    let specs = ReplicaSpec::defaults(cfg.replicas.max(1));
-    let server = Server::start(cfg.serve, AAbftGemm::new(*gemm_config), specs, obs.clone())
+    let server =
+        Server::start(cfg.serve, AAbftGemm::new(*gemm_config), cfg.replicas.clone(), obs.clone())
         .expect("bench ServeConfig is valid");
     let mut storm = cfg.storm.then(|| {
         let storm_cfg = StormConfig { seed: cfg.seed, ..StormConfig::default() };
-        Storm::calibrate(&storm_cfg, &gemm, cfg.n)
+        let fleet: Vec<_> = cfg.replicas.iter().map(|r| r.device).collect();
+        Storm::calibrate(&storm_cfg, &gemm, cfg.n, &fleet)
     });
 
     let period = (rate > 0.0).then(|| Duration::from_secs_f64(1.0 / rate));
@@ -408,280 +394,5 @@ fn run_level(
         ladder_end,
         ewma_peak,
         breaker_trips: breakers,
-    }
-}
-
-/// The skewed-shape, heterogeneous-replica placement bench: one seeded
-/// request stream replayed through the round-robin baseline and through
-/// the server, over the same replica fleet.
-#[derive(Debug, Clone)]
-pub struct MatrixBenchConfig {
-    /// Dimension of the common (small) GEMMs.
-    pub small_n: usize,
-    /// Dimension of the heavy (large) GEMMs.
-    pub big_n: usize,
-    /// Every `big_every`-th submission is a large GEMM (the skew).
-    pub big_every: usize,
-    /// Submissions per row.
-    pub requests: usize,
-    /// The heterogeneous replica fleet (shared by both rows).
-    pub replicas: Vec<ReplicaSpec>,
-    /// Input-pool seed.
-    pub seed: u64,
-    /// Rounds per row; the row reports its best round by GEMMs/s. On a
-    /// loaded or single-core host the wall time of one short run carries
-    /// scheduler noise comparable to the placement effect being measured
-    /// — best-of-N gives every row the same number of tries at a quiet
-    /// machine.
-    pub rounds: usize,
-    /// Server tuning (`queue_capacity` is widened to hold the whole
-    /// stream so shedding never skews the comparison).
-    pub serve: ServeConfig,
-    /// Protected-GEMM configuration.
-    pub config: AAbftConfig,
-}
-
-impl Default for MatrixBenchConfig {
-    fn default() -> Self {
-        MatrixBenchConfig {
-            small_n: 64,
-            big_n: 256,
-            big_every: 4,
-            requests: 48,
-            replicas: vec![
-                "26:packed".parse().expect("valid default replica"),
-                "6:scalar".parse().expect("valid default replica"),
-                "6:scalar".parse().expect("valid default replica"),
-            ],
-            seed: 7,
-            rounds: 1,
-            serve: ServeConfig::default(),
-            config: AAbftConfig::default(),
-        }
-    }
-}
-
-impl MatrixBenchConfig {
-    /// Whether submission `t` is a large GEMM.
-    fn is_big(&self, t: usize) -> bool {
-        self.big_every > 0 && t.is_multiple_of(self.big_every)
-    }
-}
-
-/// One replica's share of a matrix row.
-#[derive(Debug)]
-pub struct ReplicaUtil {
-    /// Replica label, e.g. `26sm:packed`.
-    pub label: String,
-    /// Waves this replica dispatched.
-    pub waves: u64,
-    /// Waves this replica stole.
-    pub steals: u64,
-    /// Wall time spent executing waves, seconds.
-    pub busy_s: f64,
-    /// Busy time over run wall time.
-    pub utilization: f64,
-    /// End-of-run calibration snapshot: `(shape class, measured/modelled
-    /// EWMA)` per calibrated class.
-    pub calibration: Vec<((usize, usize, usize), f64)>,
-}
-
-/// Label of the harness's blind-rotation baseline row.
-pub const ROUND_ROBIN: &str = "round-robin";
-
-/// Label of the server row: costed placement with stealing.
-pub const SERVER: &str = "costed-stealing";
-
-/// One row of the placement matrix.
-#[derive(Debug)]
-pub struct PolicyReport {
-    /// [`ROUND_ROBIN`] or [`SERVER`].
-    pub placement: &'static str,
-    /// Submissions (all admitted; the queue is sized to the stream).
-    pub submitted: u64,
-    /// Products released.
-    pub completed: u64,
-    /// Released products judged critically wrong.
-    pub sdc: u64,
-    /// Waves stolen across the fleet.
-    pub steals: u64,
-    /// Run wall time, seconds.
-    pub wall_s: f64,
-    /// Completions per wall-clock second — the headline metric.
-    pub gemms_per_sec: f64,
-    /// Median submit-to-resolve latency, milliseconds.
-    pub p50_ms: f64,
-    /// 99th-percentile latency, milliseconds.
-    pub p99_ms: f64,
-    /// Calibration samples absorbed during the run.
-    pub cal_updates: u64,
-    /// Cold-class fallbacks taken during the run.
-    pub cal_cold_hits: u64,
-    /// Per-replica placement balance, in fleet order.
-    pub per_replica: Vec<ReplicaUtil>,
-}
-
-impl PolicyReport {
-    /// Flat JSON record (one element of the `BENCH_serve.json` array),
-    /// tagged `kind: "policy-matrix"` with the row label under `policy`.
-    pub fn to_json(&self) -> JsonObject {
-        let mut obj = JsonObject::new()
-            .str("kind", "policy-matrix")
-            .str("policy", self.placement)
-            .int("submitted", self.submitted)
-            .int("completed", self.completed)
-            .int("sdc", self.sdc)
-            .int("steals", self.steals)
-            .num("wall_s", self.wall_s)
-            .num("gemms_per_sec", self.gemms_per_sec)
-            .num("p50_ms", self.p50_ms)
-            .num("p99_ms", self.p99_ms)
-            .int("cal_updates", self.cal_updates)
-            .int("cal_cold_hits", self.cal_cold_hits);
-        for (idx, r) in self.per_replica.iter().enumerate() {
-            obj = obj
-                .str(&format!("replica{idx}"), &r.label)
-                .int(&format!("replica{idx}_waves"), r.waves)
-                .int(&format!("replica{idx}_steals"), r.steals)
-                .num(&format!("replica{idx}_busy_s"), r.busy_s)
-                .num(&format!("replica{idx}_utilization"), r.utilization);
-            for &((m, n, q), ratio) in &r.calibration {
-                obj = obj.num(&format!("replica{idx}_cal_{m}x{n}x{q}"), ratio);
-            }
-        }
-        obj
-    }
-}
-
-/// Runs the skewed-shape stream through the round-robin baseline and
-/// then through the server, and returns one report per row, in that
-/// order.
-pub fn run_policy_matrix(cfg: &MatrixBenchConfig, obs: &Arc<Obs>) -> Vec<PolicyReport> {
-    let small = InputPool::new(cfg.small_n, 3, cfg.seed);
-    let big = InputPool::new(cfg.big_n, 2, cfg.seed ^ 0x5eed);
-    [ROUND_ROBIN, SERVER]
-        .into_iter()
-        .map(|placement| {
-            (0..cfg.rounds.max(1))
-                .map(|round| run_row_once(cfg, placement, round, &small, &big, obs))
-                .max_by(|a, b| a.gemms_per_sec.total_cmp(&b.gemms_per_sec))
-                .expect("at least one round")
-        })
-        .collect()
-}
-
-fn run_row_once(
-    cfg: &MatrixBenchConfig,
-    placement: &'static str,
-    round: usize,
-    small: &InputPool,
-    big: &InputPool,
-    obs: &Arc<Obs>,
-) -> PolicyReport {
-    let _run = aabft_obs::span!(
-        obs, "serve", "policy_run",
-        "policy" => placement,
-        "round" => round as u64,
-        "requests" => cfg.requests as u64,
-    );
-    let mut serve = cfg.serve;
-    serve.queue_capacity = serve.queue_capacity.max(cfg.requests);
-    let start_server = |replicas: Vec<ReplicaSpec>| {
-        Server::start(serve, AAbftGemm::new(cfg.config), replicas, obs.clone())
-            .expect("matrix bench ServeConfig is valid")
-    };
-    // The baseline rotates blindly at admission: one single-replica
-    // server per spec, and request `t` goes to server `t mod N`.
-    let servers: Vec<Server> = if placement == ROUND_ROBIN {
-        cfg.replicas.iter().map(|spec| start_server(vec![spec.clone()])).collect()
-    } else {
-        vec![start_server(cfg.replicas.clone())]
-    };
-
-    let start = Instant::now();
-    let mut tickets = Vec::with_capacity(cfg.requests);
-    for t in 0..cfg.requests {
-        let pool = if cfg.is_big(t) { big } else { small };
-        let (a, b, _) = pool.get(t);
-        // Unbounded + A-ABFT everywhere: the matrix isolates placement
-        // throughput, so no deadline shedding and every product verified.
-        let req = ServeRequest::new(a.clone(), b.clone())
-            .with_policy(ProtectionPolicy::AAbft)
-            .with_class(DeadlineClass::Unbounded);
-        match servers[t % servers.len()].submit(req) {
-            Ok(ticket) => tickets.push((t, ticket)),
-            Err(rej) => panic!("matrix bench queue sized to stream, yet: {rej}"),
-        }
-    }
-    let submitted = tickets.len() as u64;
-    // Wait for every ticket before reading the clock or the per-replica
-    // accounts: under blast submission, nearly all the work happens
-    // after the submit loop returns. SDC judgment runs outside the timed
-    // window so host-side classification cost never skews the
-    // row-to-row throughput ratio.
-    let outcomes: Vec<(usize, ServeOutcome)> =
-        tickets.into_iter().map(|(t, ticket)| (t, ticket.wait())).collect();
-    let wall = start.elapsed();
-    let mut steals = 0;
-    let (mut cal_updates, mut cal_cold_hits) = (0, 0);
-    let mut per_replica = Vec::with_capacity(cfg.replicas.len());
-    for server in servers {
-        let placement = server.placement();
-        steals += server.steals();
-        cal_updates += placement.cal_updates();
-        cal_cold_hits += placement.cal_cold_hits();
-        for r in 0..server.replicas() {
-            let busy_s = server.replica_busy(r).as_secs_f64();
-            per_replica.push(ReplicaUtil {
-                label: server.replica_spec(r).label(),
-                waves: server.replica_waves(r),
-                steals: server.replica_steals(r),
-                busy_s,
-                utilization: busy_s / wall.as_secs_f64(),
-                calibration: placement.calibration(r),
-            });
-        }
-        server.shutdown();
-    }
-
-    let model = RoundingModel::binary64();
-    let bs = cfg.config.block_size;
-    let mut completed = 0u64;
-    let mut sdc = 0u64;
-    let mut latencies_ms = Vec::with_capacity(outcomes.len());
-    for (t, outcome) in outcomes {
-        match outcome {
-            ServeOutcome::Completed(c) => {
-                completed += 1;
-                latencies_ms.push(c.latency.as_secs_f64() * 1e3);
-                let pool = if cfg.is_big(t) { big } else { small };
-                let (a, b, clean) = pool.get(t);
-                let repair = c.healed().then_some(bs);
-                let (truth, _) = classify_product(
-                    &c.product, clean, a, b, &model, cfg.config.omega, repair,
-                );
-                if truth == GroundTruth::Critical {
-                    sdc += 1;
-                    obs.metrics.counter_inc("serve.sdc");
-                }
-            }
-            other => panic!("unbounded verified request must complete, got {other:?}"),
-        }
-    }
-    latencies_ms.sort_by(f64::total_cmp);
-
-    PolicyReport {
-        placement,
-        submitted,
-        completed,
-        sdc,
-        steals,
-        wall_s: wall.as_secs_f64(),
-        gemms_per_sec: completed as f64 / wall.as_secs_f64(),
-        p50_ms: percentile(&latencies_ms, 0.50),
-        p99_ms: percentile(&latencies_ms, 0.99),
-        cal_updates,
-        cal_cold_hits,
-        per_replica,
     }
 }

@@ -10,30 +10,24 @@
 //!   admission errors, the exactly-once [`ServeOutcome`], and the
 //!   [`Ticket`] a caller waits on;
 //! * [`queue`] — the bounded, shape-sharded admission plane: explicit
-//!   load shedding at capacity, deadline sweeping, and wave extraction
-//!   from per-shape-class shards;
-//! * [`placement`] — heterogeneous [`ReplicaSpec`]s (per-replica SM
-//!   count and clean engine) and the [`Placement`] plane that costs
-//!   ready waves against each replica's own `PerfModel`, with online
-//!   calibration: per-(replica, shape-class) EWMAs of
-//!   measured/modelled latency blend into every price, so placement
-//!   corrects model error — including a replica whose spec lies about
-//!   its engine — as it serves. There is one placement rule and no
-//!   option: a replica takes the shards it is the calibrated argmin for
-//!   and, when idle, steals work that would wait longer than it takes;
+//!   load shedding at capacity, deadline sweeping, and one pull rule:
+//!   whichever dispatcher asks takes the wave led by the oldest ready
+//!   entry;
+//! * [`placement`] — [`ReplicaSpec`]s (per-replica SM count and clean
+//!   engine) and the shard [`shape_class`]. No replica is priced: SM
+//!   count does not change host time, so the fleet simply pulls;
 //! * [`ladder`] — the [`EscalationLadder`]: maps the
 //!   `abft.fault_rate_ewma` gauge to a protection floor
 //!   (`Base → Verify → Heal`) with hysteresis on the way down;
 //! * [`breaker`] — per-replica [`CircuitBreaker`] quarantining a device
-//!   after consecutive heal-budget exhaustions, draining its queue share
-//!   to healthy replicas;
+//!   after consecutive heal-budget exhaustions; a quarantined replica
+//!   stops pulling, so healthy replicas take its share;
 //! * [`server`] — [`Server`]: one dispatcher thread per replica device,
 //!   waves through [`BatchGemm`], retry-with-backoff around heal
 //!   budgets;
-//! * [`chaos`] + [`mod@bench`] — the seeded fault [`Storm`], the
+//! * [`chaos`] + [`mod@bench`] — the seeded fault [`Storm`] and the
 //!   open-loop load generator behind `aabft serve` and
-//!   `BENCH_serve.json`, and the placement matrix that races the server
-//!   against a blind round-robin baseline built in the harness.
+//!   `BENCH_serve.json`.
 //!
 //! [`BatchGemm`]: aabft_core::batch::BatchGemm
 //!
@@ -71,7 +65,7 @@ pub mod queue;
 pub mod request;
 pub mod server;
 
-pub use bench::{BenchConfig, LevelReport, MatrixBenchConfig, PolicyReport, TenantMix};
+pub use bench::{BenchConfig, LevelReport, TenantMix};
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use chaos::{Storm, StormConfig};
 pub use ladder::{EscalationLadder, LadderConfig, LadderLevel};

@@ -1,76 +1,31 @@
 //! The sharded admission plane: bounded admission, deadline sweeping,
-//! per-shape-class shards, and wave extraction under the one placement
-//! rule — calibrated costed placement with work stealing.
+//! per-shape-class shards, and wave extraction under one pull rule.
 //!
 //! Admitted requests land in *shards* keyed by their rounded shape class
-//! ([`shape_class`]), so the batch engine's plan/pack caches stay hot
-//! per shard, and each dispatcher asks the queue (`take_wave`) for the
-//! shard it is *best suited for*:
-//!
-//! * **Own take.** A dispatcher takes a shard when it is the argmin of
-//!   `inflight + wave_cost` over live replicas, where wave costs are
-//!   *calibrated*: each replica's scaled [`PerfModel`] estimate blended
-//!   with the measured/modelled EWMA for that shape class (see
-//!   [`Placement::calibrated_wave_costs`]).
-//! * **Steal.** Otherwise an idle, warm dispatcher drains the heaviest
-//!   *eligible* shard instead of parking. A shard is eligible when its
-//!   backlog on its best replica outlasts the thief's own calibrated
-//!   wave cost, **or** when its observed queueing delay — the per-class
-//!   EWMA of admit→dispatch age — exceeds that cost: if work
-//!   demonstrably waits longer than the thief needs to run it, the
-//!   thief runs it, whatever the model claims about the backlog.
-//!
-//! The queue also maintains the observed-delay signal itself: every
-//! dispatched entry contributes its admit→dispatch age to its shard
-//! class's EWMA, which the [`Server`] exports as
-//! `serve.shard.{class}.queue_delay_us` gauges.
+//! ([`shape_class`]), so the batch engine's plan and pack caches stay
+//! warm per shard. A dispatcher that asks the queue for work
+//! (`take_wave`) gets the wave whose lead entry is the oldest ready one,
+//! whichever replica it serves: the queue knows nothing of replicas. The
+//! wave coalesces up to `max` ready entries of the lead's exact shape.
+//! The server keeps a quarantined replica from asking, so the breaker,
+//! not the queue, decides who may pull.
 //!
 //! Built on `std::sync::{Mutex, Condvar}` (the parking_lot shim carries
-//! no condvar); one mutex guards all shards, which keeps placement
-//! decisions atomic with extraction. A closed queue drains placement-free:
-//! any dispatcher takes the oldest ready wave, so no entry can strand
-//! behind a placement decision during shutdown.
-//!
-//! [`Placement`]: crate::placement::Placement
-//! [`Server`]: crate::server::Server
-//! [`PerfModel`]: aabft_gpu_sim::perf::PerfModel
+//! no condvar); one mutex guards all shards.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use aabft_core::batch::ProtectionPolicy;
 use aabft_matrix::Matrix;
 
-use crate::placement::{shape_class, Placement};
+use crate::placement::shape_class;
 use crate::request::{DeadlineClass, Rejected, Slot};
 
 /// Coalescing key: requests of equal `(m, n, q)` share a cached plan and
 /// pooled buffers in the batch engine, so a wave sticks to one key.
 pub(crate) type ShapeKey = (usize, usize, usize);
-
-/// EWMA smoothing for the per-class observed queueing delay; matched to
-/// the calibration plane's pace so the steal signal and the cost signal
-/// adapt on the same timescale.
-const DELAY_ALPHA: f64 = 0.25;
-
-/// Hysteresis on the observed-delay steal: the thief must beat the
-/// class's observed wait by this factor, not merely undercut it. A
-/// steal moves a whole wave off the replica the cost model still thinks
-/// is best, and the observed-delay signal is the noisiest input the
-/// scheduler has (a dispatch-age EWMA on a shared host), so it should
-/// only override the model when the gap is clear — EWMA noise alone
-/// must not open it.
-const STEAL_MARGIN: f64 = 2.0;
-
-/// Cycle-efficiency bound on any steal: the thief's host-cycle cost for
-/// the wave (calibrated device cost × SM width) may exceed the best
-/// replica's by at most this factor. Stealing buys latency with *spare*
-/// capacity; a thief that would burn several times the silicon — e.g. a
-/// scalar-engine replica grabbing work a packed-engine peer will drain
-/// shortly — converts queueing delay into fleet-wide waste, slowing
-/// every other tenant to rescue one.
-const STEAL_EFFICIENCY: f64 = 1.5;
 
 /// One admitted request waiting for dispatch.
 #[derive(Debug)]
@@ -109,23 +64,9 @@ impl Pending {
 pub(crate) enum Taken {
     /// A coalesced wave (nonempty) plus any entries whose deadline
     /// expired during the sweep — the caller resolves those as missed.
-    Wave {
-        batch: Vec<Pending>,
-        expired: Vec<Pending>,
-        /// Calibrated cost of this wave on the taking replica; charged
-        /// to its inflight account until [`ShardedQueue::finish`].
-        cost: f64,
-        /// Pure analytic-model cost of this wave on the taking replica —
-        /// the denominator for the measured/modelled calibration sample
-        /// the server records once the wave completes.
-        modelled: f64,
-        /// `true` when the wave was stolen (the taker was not the
-        /// modelled best replica for its shard).
-        stolen: bool,
-    },
-    /// Nothing dispatchable for this replica right now (park elapsed, or
-    /// only backed-off / other-replica entries remain); expired entries
-    /// are still swept and returned.
+    Wave { batch: Vec<Pending>, expired: Vec<Pending> },
+    /// Nothing dispatchable right now (park elapsed, or only backed-off
+    /// entries remain); expired entries are still swept and returned.
     Empty { expired: Vec<Pending> },
     /// The queue is closed and fully drained: the dispatcher exits.
     Drained,
@@ -144,15 +85,6 @@ struct Inner {
     /// Total queued entries across shards (capacity accounting).
     len: usize,
     closed: bool,
-    /// Per-replica modelled cost of waves currently executing.
-    inflight: Vec<f64>,
-    /// Replicas currently accepting work (breaker-closed or probing).
-    alive: Vec<bool>,
-    /// Waves stolen so far (telemetry mirror).
-    steals: u64,
-    /// Observed queueing delay per shard class: EWMA of admit→dispatch
-    /// age in seconds, fed at every wave extraction.
-    delay: HashMap<ShapeKey, f64>,
 }
 
 impl Inner {
@@ -164,16 +96,17 @@ impl Inner {
         self.shards.last_mut().expect("just pushed")
     }
 
-    /// Live replicas to cost against; falls back to *all* replicas when
-    /// every breaker is open so placement stays total.
-    fn live(&self) -> Vec<usize> {
-        let live: Vec<usize> =
-            (0..self.alive.len()).filter(|&r| self.alive[r]).collect();
-        if live.is_empty() {
-            (0..self.alive.len()).collect()
-        } else {
-            live
+    /// The shard whose first ready entry is the oldest ready entry.
+    fn oldest_ready_shard(&self, now: Instant) -> Option<usize> {
+        let mut found: Option<(usize, Instant)> = None;
+        for (si, shard) in self.shards.iter().enumerate() {
+            if let Some(p) = shard.items.iter().find(|p| p.ready(now)) {
+                if found.is_none_or(|(_, t)| p.submitted < t) {
+                    found = Some((si, p.submitted));
+                }
+            }
         }
+        found.map(|(si, _)| si)
     }
 }
 
@@ -183,7 +116,6 @@ pub(crate) struct ShardedQueue {
     inner: Mutex<Inner>,
     nonempty: Condvar,
     capacity: usize,
-    placement: Arc<Placement>,
 }
 
 /// Per-shard depth snapshot for gauges.
@@ -193,25 +125,16 @@ pub(crate) struct ShardDepth {
 }
 
 impl ShardedQueue {
-    pub(crate) fn new(capacity: usize, placement: Arc<Placement>) -> Self {
-        let replicas = placement.replicas();
-        let inner = Inner {
-            shards: Vec::new(),
-            len: 0,
-            closed: false,
-            inflight: vec![0.0; replicas],
-            alive: vec![true; replicas],
-            steals: 0,
-            delay: HashMap::new(),
-        };
-        ShardedQueue { inner: Mutex::new(inner), nonempty: Condvar::new(), capacity, placement }
+    pub(crate) fn new(capacity: usize) -> Self {
+        let inner = Inner { shards: Vec::new(), len: 0, closed: false };
+        ShardedQueue { inner: Mutex::new(inner), nonempty: Condvar::new(), capacity }
     }
 
     pub(crate) fn len(&self) -> usize {
         self.inner.lock().expect("queue lock").len
     }
 
-    /// Depth of every shard (placement-balance gauges).
+    /// Depth of every shard (gauges).
     pub(crate) fn shard_depths(&self) -> Vec<ShardDepth> {
         let inner = self.inner.lock().expect("queue lock");
         inner
@@ -253,8 +176,8 @@ impl ShardedQueue {
         self.nonempty.notify_one();
     }
 
-    /// Closes admission; dispatchers drain the remainder (placement-free)
-    /// and then see [`Taken::Drained`].
+    /// Closes admission; dispatchers drain the remainder and then see
+    /// [`Taken::Drained`].
     pub(crate) fn close(&self) {
         self.inner.lock().expect("queue lock").closed = true;
         self.nonempty.notify_all();
@@ -265,52 +188,23 @@ impl ShardedQueue {
         inner.closed && inner.len == 0
     }
 
-    /// Marks a replica (not) accepting work. A quarantined replica's
-    /// shard affinity redistributes immediately: the argmin simply stops
-    /// considering it. Waking parked dispatchers lets them re-evaluate.
-    pub(crate) fn set_alive(&self, replica: usize, alive: bool) {
+    /// Closes admission and removes every queued entry, ready or not.
+    /// The last dispatcher calls it as it exits: after it nothing would
+    /// ever take what is left.
+    pub(crate) fn close_and_take_all(&self) -> Vec<Pending> {
         let mut inner = self.inner.lock().expect("queue lock");
-        if inner.alive[replica] == alive {
-            return;
-        }
-        inner.alive[replica] = alive;
+        inner.closed = true;
+        inner.len = 0;
+        let left = inner.shards.iter_mut().flat_map(|s| s.items.drain(..)).collect();
         drop(inner);
         self.nonempty.notify_all();
-    }
-
-    /// Credits back a completed wave's modelled cost and wakes parked
-    /// dispatchers (the argmin may have shifted).
-    pub(crate) fn finish(&self, replica: usize, cost: f64) {
-        let mut inner = self.inner.lock().expect("queue lock");
-        inner.inflight[replica] = (inner.inflight[replica] - cost).max(0.0);
-        drop(inner);
-        self.nonempty.notify_all();
-    }
-
-    /// Per-replica inflight modelled cost (gauges).
-    pub(crate) fn inflight(&self) -> Vec<f64> {
-        self.inner.lock().expect("queue lock").inflight.clone()
-    }
-
-    /// Waves stolen so far.
-    pub(crate) fn steals(&self) -> u64 {
-        self.inner.lock().expect("queue lock").steals
-    }
-
-    /// Observed queueing delay per shard class (EWMA of admit→dispatch
-    /// age, seconds), sorted by class. Gauge surface.
-    pub(crate) fn queue_delays(&self) -> Vec<(ShapeKey, f64)> {
-        let inner = self.inner.lock().expect("queue lock");
-        let mut out: Vec<_> = inner.delay.iter().map(|(&k, &v)| (k, v)).collect();
-        out.sort_unstable_by_key(|&(k, _)| k);
-        out
+        left
     }
 
     /// Sweeps expired entries, then extracts up to `max` ready entries of
-    /// one exact shape from the shard this replica should serve (see
-    /// module docs). Parks up to `park` when nothing is dispatchable for
-    /// this replica.
-    pub(crate) fn take_wave(&self, replica: usize, max: usize, park: Duration) -> Taken {
+    /// one exact shape, led by the oldest ready entry in the queue. Parks
+    /// up to `park` when nothing is dispatchable.
+    pub(crate) fn take_wave(&self, max: usize, park: Duration) -> Taken {
         debug_assert!(max >= 1);
         let mut inner = self.inner.lock().expect("queue lock");
         let now = Instant::now();
@@ -332,13 +226,12 @@ impl ShardedQueue {
             return if expired.is_empty() { Taken::Drained } else { Taken::Empty { expired } };
         }
 
-        let choice = self.choose_shard(&inner, replica, max, now);
-        let Some((si, stolen)) = choice else {
+        let Some(si) = inner.oldest_ready_shard(now) else {
             if expired.is_empty() {
-                // Nothing for this replica: park until a submit/requeue/
-                // finish/close or timeout. Parking while closed is fine —
-                // only backed-off entries remain, and they come ready
-                // within a backoff period.
+                // Nothing ready: park until a submit/requeue/close or
+                // timeout. Parking while closed is fine — only backed-off
+                // entries remain, and they come ready within a backoff
+                // period.
                 let (_guard, _timeout) =
                     self.nonempty.wait_timeout(inner, park).expect("queue lock");
             }
@@ -351,11 +244,11 @@ impl ShardedQueue {
         let first = items
             .iter()
             .position(|p| p.ready(now))
-            .expect("choose_shard found a ready entry");
+            .expect("the oldest ready shard has a ready entry");
         let lead = items.remove(first).expect("index in bounds");
         let key = lead.shape_key();
         let mut batch = vec![lead];
-        let mut i = first; // entries before `first` were not eligible
+        let mut i = first; // entries before `first` were not ready
         while batch.len() < max && i < items.len() {
             if items[i].ready(now) && items[i].shape_key() == key {
                 batch.push(items.remove(i).expect("index in bounds"));
@@ -364,135 +257,13 @@ impl ShardedQueue {
             }
         }
         inner.len -= batch.len();
-        // Every dispatched entry is one admit→dispatch sample for its
-        // class's observed-delay EWMA (the adaptive steal signal).
-        let class = shape_class(key);
-        for p in &batch {
-            let waited = now.duration_since(p.submitted).as_secs_f64();
-            let delay = inner.delay.entry(class).or_insert(waited);
-            *delay += DELAY_ALPHA * (waited - *delay);
-        }
-        let cost = self.placement.calibrated_wave_costs(key, batch.len())[replica];
-        let modelled = self.placement.wave_costs(key, batch.len())[replica];
-        inner.inflight[replica] += cost;
-        if stolen {
-            inner.steals += 1;
-        }
-        Taken::Wave { batch, expired, cost, modelled, stolen }
-    }
-
-    /// Picks the shard `replica` should serve, or `None` to park.
-    /// Returns `(shard index, stolen)`.
-    fn choose_shard(
-        &self,
-        inner: &Inner,
-        replica: usize,
-        max: usize,
-        now: Instant,
-    ) -> Option<(usize, bool)> {
-        // Draining: take the oldest ready wave regardless of placement so
-        // shutdown cannot strand work behind a placement decision.
-        if inner.closed {
-            return self.oldest_ready_shard(inner, now).map(|si| (si, false));
-        }
-        let live = inner.live();
-        // A steal is the thief betting its own price against the victim's
-        // backlog — a replica that has never produced a measured sample
-        // hasn't earned that trust (its spec may be the lie calibration
-        // exists to catch), so it serves only waves routed to it until
-        // its first measurement lands.
-        let may_steal = self.placement.is_warm(replica);
-        // Own takes: shards whose calibrated best replica is us.
-        let mut own: Option<(usize, Instant)> = None;
-        // Steal candidates: (shard, pressure) for shards whose wait —
-        // modelled or observed — outlasts our own wave.
-        let mut steal: Option<(usize, f64)> = None;
-        for (si, shard) in inner.shards.iter().enumerate() {
-            let Some(lead) = shard.items.iter().find(|p| p.ready(now)) else {
-                continue;
-            };
-            let key = lead.shape_key();
-            let count = shard
-                .items
-                .iter()
-                .filter(|p| p.ready(now) && p.shape_key() == key)
-                .count()
-                .min(max);
-            let costs = self.placement.calibrated_wave_costs(key, count);
-            let best = live
-                .iter()
-                .copied()
-                .min_by(|&a, &b| {
-                    (inner.inflight[a] + costs[a])
-                        .partial_cmp(&(inner.inflight[b] + costs[b]))
-                        .expect("costs are finite")
-                })
-                .expect("at least one live replica");
-            if best == replica {
-                let oldest = lead.submitted;
-                if own.is_none_or(|(_, t)| oldest < t) {
-                    own = Some((si, oldest));
-                }
-            } else if may_steal {
-                // Eligible when either signal says waiting beats doing it
-                // ourselves: (a) the calibrated backlog, drained by its
-                // best replica after that replica's current inflight
-                // work, outlasts our own wave; or (b) the shard's
-                // *observed* queueing delay already exceeds our
-                // calibrated cost. (b) is what fires when the model lies:
-                // the backlog looks cheap on a replica that in truth
-                // drains it slowly, and only measured wait exposes that.
-                let backlog: f64 = shard
-                    .items
-                    .iter()
-                    .map(|p| self.placement.calibrated_request_cost(p.shape_key(), best))
-                    .sum();
-                let modelled_wait = inner.inflight[best] + backlog;
-                // Observed signal: the class's dispatch-age EWMA — what
-                // entries like this one *actually* waited recently.
-                // Deliberately not the lead entry's current age: under a
-                // blast every shard's lead is as old as the run, and that
-                // signal would tell every idle replica to steal
-                // everything.
-                let observed_wait = inner.delay.get(&shard.class).copied().unwrap_or(0.0);
-                let ours = costs[replica];
-                // The observed comparison crosses unit systems: delays
-                // are host wall seconds, prices are calibrated
-                // device-seconds. Scale our price to host wall before
-                // comparing.
-                let ours_host = ours * self.placement.host_scale(replica);
-                let best_host = costs[best] * self.placement.host_scale(best);
-                let efficient = ours_host <= best_host * STEAL_EFFICIENCY;
-                let pressure = modelled_wait.max(observed_wait);
-                if efficient
-                    && (ours < modelled_wait || ours_host * STEAL_MARGIN < observed_wait)
-                    && steal.is_none_or(|(_, heaviest)| pressure > heaviest)
-                {
-                    steal = Some((si, pressure));
-                }
-            }
-        }
-        own.map(|(si, _)| (si, false)).or(steal.map(|(si, _)| (si, true)))
-    }
-
-    /// The shard holding the oldest ready entry.
-    fn oldest_ready_shard(&self, inner: &Inner, now: Instant) -> Option<usize> {
-        let mut found: Option<(usize, Instant)> = None;
-        for (si, shard) in inner.shards.iter().enumerate() {
-            if let Some(p) = shard.items.iter().find(|p| p.ready(now)) {
-                if found.is_none_or(|(_, t)| p.submitted < t) {
-                    found = Some((si, p.submitted));
-                }
-            }
-        }
-        found.map(|(si, _)| si)
+        Taken::Wave { batch, expired }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::placement::ReplicaSpec;
 
     fn pending(n: usize) -> Pending {
         let a = Matrix::from_fn(n, n, |i, j| (i + j) as f64);
@@ -510,15 +281,11 @@ mod tests {
         }
     }
 
-    fn queue(capacity: usize, specs: Vec<ReplicaSpec>) -> ShardedQueue {
-        ShardedQueue::new(capacity, Arc::new(Placement::new(specs)))
-    }
-
     const NO_PARK: Duration = Duration::from_millis(0);
 
     #[test]
     fn capacity_and_shutdown_shed() {
-        let q = queue(2, ReplicaSpec::defaults(1));
+        let q = ShardedQueue::new(2);
         assert!(q.submit(pending(8)).is_ok());
         assert!(q.submit(pending(8)).is_ok());
         assert!(matches!(q.submit(pending(8)), Err(Rejected::QueueFull { capacity: 2 })));
@@ -533,12 +300,12 @@ mod tests {
     fn waves_coalesce_exact_shape_within_a_shard() {
         // 48³ and 64³ share the (64,64,64) shard class but must not mix
         // in one wave (the engine plans per exact shape).
-        let q = queue(16, ReplicaSpec::defaults(1));
+        let q = ShardedQueue::new(16);
         q.submit(pending(48)).unwrap();
         q.submit(pending(64)).unwrap();
         q.submit(pending(48)).unwrap();
         assert_eq!(q.shard_depths().len(), 1, "one shared shard class");
-        let Taken::Wave { batch, .. } = q.take_wave(0, 8, NO_PARK) else {
+        let Taken::Wave { batch, .. } = q.take_wave(8, NO_PARK) else {
             panic!("expected a wave");
         };
         assert_eq!(batch.len(), 2, "the two 48³ entries coalesce past the 64³");
@@ -546,169 +313,63 @@ mod tests {
     }
 
     #[test]
-    fn costed_placement_keeps_heavy_shapes_off_slow_replicas() {
-        let specs: Vec<ReplicaSpec> =
-            vec!["26:packed".parse().unwrap(), "4:scalar".parse().unwrap()];
-        let q = queue(16, specs);
-        q.submit(pending(256)).unwrap();
-        // The slow scalar replica is not the argmin: it parks.
-        assert!(matches!(q.take_wave(1, 8, NO_PARK), Taken::Empty { .. }));
-        let Taken::Wave { batch, cost, stolen, .. } = q.take_wave(0, 8, NO_PARK) else {
-            panic!("fast replica takes the heavy shard");
+    fn the_oldest_ready_entry_leads_whoever_asks() {
+        // A 256³ entry filed before a 64³ one, in different shards: no
+        // replica is priced for either shape, so whichever dispatcher asks
+        // first gets the older 256³ wave, and the next gets the 64³ one.
+        let q = ShardedQueue::new(16);
+        let filed = Instant::now();
+        let mut heavy = pending(256);
+        heavy.submitted = filed;
+        let mut light = pending(64);
+        light.submitted = filed + Duration::from_micros(1);
+        q.submit(heavy).unwrap();
+        q.submit(light).unwrap();
+        assert_eq!(q.shard_depths().len(), 2, "one shard per class");
+        let Taken::Wave { batch, .. } = q.take_wave(8, NO_PARK) else {
+            panic!("the first ask takes a wave");
         };
         assert_eq!(batch.len(), 1);
-        assert!(cost > 0.0);
-        assert!(!stolen);
-        assert_eq!(q.inflight()[0], cost);
-        q.finish(0, cost);
-        assert_eq!(q.inflight()[0], 0.0);
-    }
-
-    #[test]
-    fn idle_replica_steals_heavy_backlog_from_busy_best() {
-        // 512³ puts the modelled cost well past the launch-overhead
-        // floor, so the 8-SM thief runs ~2.5× the 26-SM replica's cost:
-        // never the argmin while the fast replica holds one wave
-        // (2.5s > 2s), yet far cheaper than waiting out an 11-deep
-        // backlog.
-        let specs: Vec<ReplicaSpec> =
-            vec!["26:packed".parse().unwrap(), "8:packed".parse().unwrap()];
-        let placement = Arc::new(Placement::new(specs));
-        // One neutral sample (measured == modelled, ratio 1) warms the
-        // thief without moving its price: a cold replica may not steal.
-        placement.record_measured(1, (512, 512, 512), 1.0, 1.0);
-        let q = ShardedQueue::new(16, placement);
-        for _ in 0..12 {
-            q.submit(pending(512)).unwrap();
-        }
-        // Fast replica takes a wave and is now busy (inflight charged).
-        let Taken::Wave { stolen, .. } = q.take_wave(0, 1, NO_PARK) else {
-            panic!("fast replica takes first");
+        assert_eq!(batch[0].shape_key(), (256, 256, 256), "the older entry leads");
+        let Taken::Wave { batch, .. } = q.take_wave(8, NO_PARK) else {
+            panic!("the next ask takes a wave");
         };
-        assert!(!stolen);
-        // The slower replica is not the argmin, but the backlog on the
-        // busy fast replica outlasts its own wave cost: it steals.
-        let Taken::Wave { batch, stolen, .. } = q.take_wave(1, 1, NO_PARK) else {
-            panic!("idle replica steals the backlog");
-        };
-        assert!(stolen);
-        assert_eq!(batch.len(), 1);
-        assert_eq!(q.steals(), 1);
-    }
+        assert_eq!(batch[0].shape_key(), (64, 64, 64));
+        assert!(matches!(q.take_wave(8, NO_PARK), Taken::Empty { .. }));
 
-    #[test]
-    fn closed_queue_drains_to_a_replica_that_is_not_the_argmin() {
-        let specs: Vec<ReplicaSpec> =
-            vec!["26:packed".parse().unwrap(), "4:scalar".parse().unwrap()];
-        let q = queue(16, specs);
+        // Draining follows the same rule, then reports the queue drained.
         q.submit(pending(256)).unwrap();
-        // Open: the slow cold replica is not the argmin and parks.
-        assert!(matches!(q.take_wave(1, 8, NO_PARK), Taken::Empty { .. }));
-        // Draining: a closed queue hands the wave to whoever asks.
         q.close();
-        let Taken::Wave { batch, stolen, .. } = q.take_wave(1, 8, NO_PARK) else {
-            panic!("drain ignores placement");
+        let Taken::Wave { batch, .. } = q.take_wave(8, NO_PARK) else {
+            panic!("a closed queue still hands out what it holds");
         };
         assert_eq!(batch.len(), 1);
-        assert!(!stolen);
-        assert!(matches!(q.take_wave(0, 8, NO_PARK), Taken::Drained));
+        assert!(matches!(q.take_wave(8, NO_PARK), Taken::Drained));
         assert!(q.is_drained());
     }
 
     #[test]
-    fn measured_feedback_flips_the_costed_argmin() {
-        // Replica 0 lies: it runs the scalar engine but its spec prices
-        // it as packed, so the static model routes heavy work to it.
-        let placement = Arc::new(Placement::new(vec![
-            "6:scalar@packed".parse().unwrap(),
-            "6:scalar".parse().unwrap(),
-        ]));
-        let q = ShardedQueue::new(16, placement.clone());
-        q.submit(pending(256)).unwrap();
-        // Cold calibration: the liar is the modelled argmin; the honest
-        // replica parks, and the wave's calibrated cost equals modelled.
-        assert!(matches!(q.take_wave(1, 8, NO_PARK), Taken::Empty { .. }));
-        let Taken::Wave { batch, cost, modelled, .. } = q.take_wave(0, 8, NO_PARK) else {
-            panic!("liar takes the wave while the model is trusted");
-        };
-        assert_eq!(batch.len(), 1);
-        assert_eq!(cost, modelled, "cold ratio is 1.0");
-        q.finish(0, cost);
-        // Measured truth arrives: the liar ran 5× slower than modelled,
-        // the honest replica exactly as modelled. (Both sides must be
-        // measured: an unmeasured replica borrows the fleet-median
-        // ratio — here the liar's own 5× — precisely so that cold
-        // replicas don't look artificially cheap next to warm ones.)
-        placement.record_measured(0, (256, 256, 256), 5.0 * modelled, modelled);
-        let honest = placement.request_cost((256, 256, 256), 1);
-        placement.record_measured(1, (256, 256, 256), honest, honest);
-        q.submit(pending(256)).unwrap();
-        // The calibrated argmin flips to the honest replica.
-        assert!(matches!(q.take_wave(0, 8, NO_PARK), Taken::Empty { .. }));
-        let Taken::Wave { batch, stolen, .. } = q.take_wave(1, 8, NO_PARK) else {
-            panic!("honest replica wins once the lie is measured");
-        };
-        assert_eq!(batch.len(), 1);
-        assert!(!stolen, "an argmin take is not a steal");
-    }
-
-    #[test]
-    fn observed_queue_delay_triggers_adaptive_steal() {
-        // 256³ on the 4-SM thief is ~6.5× pricier than on the fast
-        // replica, so the modelled-backlog rule never fires (ours >
-        // one-deep backlog-on-best). But this class's entries have
-        // demonstrably waited ~30 s to dispatch — the observed
-        // dispatch-age EWMA says the model is wrong about this shard,
-        // and the warm, cycle-efficient (same engine) thief steals.
-        let specs: Vec<ReplicaSpec> =
-            vec!["26:packed".parse().unwrap(), "4:packed".parse().unwrap()];
-        let placement = Arc::new(Placement::new(specs));
-        placement.record_measured(1, (256, 256, 256), 1.0, 1.0);
-        let q = ShardedQueue::new(16, placement);
-        // Seed the class's delay EWMA with a genuinely ancient dispatch.
-        let mut stale = pending(256);
-        stale.submitted = Instant::now() - Duration::from_secs(30);
-        q.submit(stale).unwrap();
-        let Taken::Wave { stolen, .. } = q.take_wave(0, 8, NO_PARK) else {
-            panic!("fast replica drains the seed entry");
-        };
-        assert!(!stolen);
-        // Fast replica is now loaded; the next entry of the class would
-        // be its take again (still the argmin), but the observed wait
-        // dwarfs the thief's host-scaled price.
-        q.submit(pending(256)).unwrap();
-        let Taken::Wave { batch, stolen, .. } = q.take_wave(1, 8, NO_PARK) else {
-            panic!("observed wait must trigger the adaptive steal");
-        };
-        assert!(stolen);
-        assert_eq!(batch.len(), 1);
-        assert_eq!(q.steals(), 1);
-    }
-
-    #[test]
-    fn dispatch_feeds_the_queue_delay_ewma() {
-        let q = queue(16, ReplicaSpec::defaults(1));
-        assert!(q.queue_delays().is_empty(), "no samples before any dispatch");
-        let mut p = pending(64);
-        p.submitted = Instant::now() - Duration::from_millis(250);
-        q.submit(p).unwrap();
-        let Taken::Wave { .. } = q.take_wave(0, 8, NO_PARK) else {
-            panic!("expected a wave");
-        };
-        let delays = q.queue_delays();
-        assert_eq!(delays.len(), 1);
-        assert_eq!(delays[0].0, (64, 64, 64));
-        assert!(delays[0].1 >= 0.25, "EWMA seeds from the first sample: {delays:?}");
+    fn close_and_take_all_empties_every_shard_and_sheds_later_submissions() {
+        let q = ShardedQueue::new(16);
+        q.submit(pending(8)).unwrap();
+        q.submit(pending(64)).unwrap();
+        let mut backed_off = pending(8);
+        backed_off.not_before = Some(Instant::now() + Duration::from_secs(3600));
+        q.requeue(backed_off);
+        assert_eq!(q.close_and_take_all().len(), 3, "ready or backed off, every entry leaves");
+        assert_eq!(q.len(), 0);
+        assert!(q.is_drained());
+        assert!(matches!(q.submit(pending(8)), Err(Rejected::ShuttingDown)));
     }
 
     #[test]
     fn deadline_sweep_returns_expired_entries() {
-        let q = queue(16, ReplicaSpec::defaults(1));
+        let q = ShardedQueue::new(16);
         let mut dead = pending(8);
         dead.deadline = Some(Instant::now() - Duration::from_millis(1));
         q.submit(dead).unwrap();
         q.submit(pending(8)).unwrap();
-        let Taken::Wave { batch, expired, .. } = q.take_wave(0, 8, NO_PARK) else {
+        let Taken::Wave { batch, expired } = q.take_wave(8, NO_PARK) else {
             panic!("live entry still dispatches");
         };
         assert_eq!(batch.len(), 1);

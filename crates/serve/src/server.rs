@@ -1,33 +1,30 @@
-//! The server: per-replica dispatchers pulling costed, shape-sharded
-//! waves from the admission plane through the batch engine, with retry,
-//! escalation and circuit breaking around every wave.
+//! The server: per-replica dispatchers pulling shape-sharded waves from
+//! the admission plane through the batch engine, with retry, escalation
+//! and circuit breaking around every wave.
 //!
 //! One OS thread per replica. Each iteration a dispatcher:
 //!
-//! 1. asks its breaker for admission (full wave / probe / quarantined) —
-//!    quarantine transitions flip the replica's liveness in the sharded
-//!    queue, so its shard affinity redistributes immediately;
-//! 2. asks the [`queue`](crate::queue) for the shard it should serve —
-//!    its calibrated argmin, or a steal when idle (sweeping
-//!    deadline-expired entries, which it resolves as
-//!    [`ServeOutcome::DeadlineMissed`]);
+//! 1. asks its breaker for admission (full wave / probe / quarantined);
+//!    a quarantined replica does not pull, so its peers take the work;
+//! 2. pulls the wave led by the oldest ready entry from the
+//!    [`queue`](crate::queue), sweeping deadline-expired entries, which
+//!    it resolves as [`ServeOutcome::DeadlineMissed`];
 //! 3. ticks the escalation ladder and applies the resulting protection
 //!    floor to every request in the wave;
 //! 4. runs the wave through [`BatchGemm::execute_verified`] on its own
 //!    device (plan cache and buffer pools shared across replicas
-//!    through the one engine), charging the wave's calibrated
-//!    cost to its inflight account for the duration and feeding the
-//!    measured wall latency back into the placement plane's
-//!    per-(replica, shape-class) calibration EWMA;
+//!    through the one engine);
 //! 5. resolves each result: completions resolve their ticket,
 //!    `Unrecovered` results retry with exponential backoff until
 //!    [`ServeConfig::max_retries`], then resolve as
 //!    [`ServeOutcome::Unrecovered`] and feed the breaker.
 //!
-//! Shutdown closes the queue; dispatchers drain the remainder placement-free
-//! (so every accepted ticket resolves) and exit.
+//! Shutdown closes the queue; dispatchers drain the remainder (so every
+//! accepted ticket resolves) and exit. A dispatcher that panics resolves
+//! its own wave as `Unrecovered`; if it was the last one running, it also
+//! closes admission and resolves everything still queued the same way.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -160,31 +157,23 @@ fn validate(cfg: &ServeConfig, specs: &[ReplicaSpec]) -> Result<(), ServeError> 
 
 /// One replica: its device, breaker, and busy-time account.
 struct Replica {
-    spec: ReplicaSpec,
     device: Device,
     breaker: CircuitBreaker,
     /// Cumulative wall time spent executing waves, microseconds.
     busy_us: AtomicU64,
-    /// Waves dispatched (stolen or not).
-    waves: AtomicU64,
-    /// Waves this replica stole.
-    steals: AtomicU64,
 }
 
 struct Shared {
     cfg: ServeConfig,
     queue: ShardedQueue,
-    placement: Arc<Placement>,
     ladder: EscalationLadder,
     engine: BatchGemm,
     replicas: Vec<Replica>,
     obs: Arc<Obs>,
     accepted: AtomicU64,
     resolved: AtomicU64,
-    /// Calibration counts already mirrored into the obs counters, so
-    /// `placement.cal.{updates,cold_hits}` advance by deltas.
-    cal_updates_exported: AtomicU64,
-    cal_cold_exported: AtomicU64,
+    /// Dispatchers that have not exited yet.
+    live: AtomicUsize,
 }
 
 impl Shared {
@@ -204,9 +193,7 @@ impl Shared {
         }
     }
 
-    /// Refreshes the placement-balance gauges: total and per-shard queue
-    /// depth, per-shard observed queueing delay, per-replica inflight
-    /// calibrated cost, and the calibration-plane counters.
+    /// Refreshes the queue gauges: total and per-shard depth.
     fn refresh_gauges(&self) {
         let metrics = &self.obs.metrics;
         metrics.gauge_set("serve.queue_depth", self.queue.len() as f64);
@@ -216,45 +203,40 @@ impl Shared {
             let (m, n, q) = d.class;
             metrics.gauge_set(&format!("serve.shard.{m}x{n}x{q}.depth"), d.depth as f64);
         }
-        for (class, delay) in self.queue.queue_delays() {
-            let (m, n, q) = class;
-            metrics.gauge_set(&format!("serve.shard.{m}x{n}x{q}.queue_delay_us"), delay * 1e6);
-        }
-        for (idx, cost) in self.queue.inflight().iter().enumerate() {
-            metrics.gauge_set(&format!("serve.replica.{idx}.inflight_cost"), *cost);
-        }
-        export_counter_delta(
-            metrics,
-            "placement.cal.updates",
-            self.placement.cal_updates(),
-            &self.cal_updates_exported,
-        );
-        export_counter_delta(
-            metrics,
-            "placement.cal.cold_hits",
-            self.placement.cal_cold_hits(),
-            &self.cal_cold_exported,
-        );
     }
-}
 
-/// Advances a monotonic obs counter to `total` by adding the delta since
-/// the last export (`exported` remembers what has been mirrored).
-fn export_counter_delta(
-    metrics: &aabft_obs::Metrics,
-    name: &str,
-    total: u64,
-    exported: &AtomicU64,
-) {
-    let mut prev = exported.load(Ordering::Relaxed);
-    while total > prev {
-        match exported.compare_exchange_weak(prev, total, Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => {
-                metrics.counter_add(name, total - prev);
-                return;
-            }
-            Err(seen) => prev = seen,
-        }
+    /// Validates `cfg` and the replica specs and builds one device per
+    /// spec, every device pointed at `obs`. No dispatcher runs yet.
+    fn new(
+        cfg: ServeConfig,
+        gemm: AAbftGemm,
+        replicas: Vec<ReplicaSpec>,
+        obs: Arc<Obs>,
+    ) -> Result<Shared, ServeError> {
+        validate(&cfg, &replicas)?;
+        let replicas: Vec<Replica> = replicas
+            .into_iter()
+            .map(|spec| {
+                let mut device = spec.build_device();
+                device.set_obs(obs.clone());
+                Replica {
+                    device,
+                    breaker: CircuitBreaker::new(cfg.breaker),
+                    busy_us: AtomicU64::new(0),
+                }
+            })
+            .collect();
+        Ok(Shared {
+            cfg,
+            queue: ShardedQueue::new(cfg.queue_capacity),
+            ladder: EscalationLadder::new(cfg.ladder),
+            engine: BatchGemm::new(gemm).with_streams(cfg.max_wave),
+            live: AtomicUsize::new(replicas.len()),
+            replicas,
+            obs,
+            accepted: AtomicU64::new(0),
+            resolved: AtomicU64::new(0),
+        })
     }
 }
 
@@ -285,38 +267,7 @@ impl Server {
         replicas: Vec<ReplicaSpec>,
         obs: Arc<Obs>,
     ) -> Result<Server, ServeError> {
-        validate(&cfg, &replicas)?;
-        let replicas: Vec<Replica> = replicas
-            .into_iter()
-            .map(|spec| {
-                let mut device = spec.build_device();
-                device.set_obs(obs.clone());
-                Replica {
-                    spec,
-                    device,
-                    breaker: CircuitBreaker::new(cfg.breaker),
-                    busy_us: AtomicU64::new(0),
-                    waves: AtomicU64::new(0),
-                    steals: AtomicU64::new(0),
-                }
-            })
-            .collect();
-        let placement = Arc::new(Placement::new(
-            replicas.iter().map(|r| r.spec.clone()).collect(),
-        ));
-        let shared = Arc::new(Shared {
-            cfg,
-            queue: ShardedQueue::new(cfg.queue_capacity, placement.clone()),
-            placement,
-            ladder: EscalationLadder::new(cfg.ladder),
-            engine: BatchGemm::new(gemm).with_streams(cfg.max_wave),
-            replicas,
-            obs,
-            accepted: AtomicU64::new(0),
-            resolved: AtomicU64::new(0),
-            cal_updates_exported: AtomicU64::new(0),
-            cal_cold_exported: AtomicU64::new(0),
-        });
+        let shared = Arc::new(Shared::new(cfg, gemm, replicas, obs)?);
         let workers = (0..shared.replicas.len())
             .map(|idx| {
                 let shared = shared.clone();
@@ -386,35 +337,22 @@ impl Server {
         &self.shared.replicas[idx].device
     }
 
-    /// Replica `idx`'s spec (as costed by the placement plane).
-    pub fn replica_spec(&self, idx: usize) -> &ReplicaSpec {
-        &self.shared.replicas[idx].spec
-    }
-
     /// Cumulative wall time replica `idx` has spent executing waves.
     pub fn replica_busy(&self, idx: usize) -> Duration {
         Duration::from_micros(self.shared.replicas[idx].busy_us.load(Ordering::Relaxed))
     }
 
-    /// Waves replica `idx` has dispatched.
-    pub fn replica_waves(&self, idx: usize) -> u64 {
-        self.shared.replicas[idx].waves.load(Ordering::Relaxed)
-    }
-
-    /// Waves replica `idx` stole from shards affined elsewhere.
-    pub fn replica_steals(&self, idx: usize) -> u64 {
-        self.shared.replicas[idx].steals.load(Ordering::Relaxed)
-    }
-
-    /// Waves stolen across all replicas.
+    /// Always 0: under pull no wave is stolen. Nothing in the server
+    /// reads it; it stays for `perfbench`'s `serve.steals` metric until a
+    /// change to the benchmark retires it.
     pub fn steals(&self) -> u64 {
-        self.shared.queue.steals()
+        0
     }
 
-    /// The placement plane — calibration snapshots
-    /// ([`Placement::calibration`]) and counter surface.
-    pub fn placement(&self) -> Arc<Placement> {
-        self.shared.placement.clone()
+    /// The benchmark-facing calibration residue (all zero, see
+    /// [`Placement`]).
+    pub fn placement(&self) -> Placement {
+        Placement
     }
 
     /// Replica `idx`'s breaker trip count.
@@ -454,7 +392,8 @@ impl Server {
     ///
     /// Propagates a dispatcher panic (none are expected). The requests of
     /// the wave that dispatcher held have already resolved as
-    /// [`ServeOutcome::Unrecovered`], so no ticket is stranded by it.
+    /// [`ServeOutcome::Unrecovered`], and so has the whole queue if no
+    /// other dispatcher was left, so no ticket is stranded by it.
     pub fn shutdown(self) {
         self.shared.queue.close();
         for w in self.workers {
@@ -469,54 +408,55 @@ impl Server {
 }
 
 fn dispatch_loop(shared: &Shared, idx: usize) {
+    let _live = LiveDispatcher(shared);
+    while dispatch(shared, idx) {}
+}
+
+/// One dispatcher iteration for replica `idx`; `false` once the queue is
+/// closed and drained.
+fn dispatch(shared: &Shared, idx: usize) -> bool {
     let replica = &shared.replicas[idx];
     let metrics = &shared.obs.metrics;
-    // Tracks the last liveness communicated to the queue so quarantine
-    // transitions redistribute shard affinity exactly once.
-    let mut alive = true;
-    loop {
-        let max = match replica.breaker.admit() {
-            Admission::Full => shared.cfg.max_wave,
-            Admission::Probe => 1,
-            Admission::Quarantined => {
-                metrics.gauge_set(&format!("serve.replica.{idx}.quarantined"), 1.0);
-                if alive {
-                    alive = false;
-                    shared.queue.set_alive(idx, false);
-                }
-                if shared.queue.is_drained() {
-                    return;
-                }
-                std::thread::sleep(shared.cfg.park);
-                continue;
+    let max = match replica.breaker.admit() {
+        Admission::Full => shared.cfg.max_wave,
+        Admission::Probe => 1,
+        Admission::Quarantined => {
+            metrics.gauge_set(&format!("serve.replica.{idx}.quarantined"), 1.0);
+            if shared.queue.is_drained() {
+                return false;
             }
-        };
-        metrics.gauge_set(&format!("serve.replica.{idx}.quarantined"), 0.0);
-        if !alive {
-            alive = true;
-            shared.queue.set_alive(idx, true);
+            std::thread::sleep(shared.cfg.park);
+            return true;
         }
-        match shared.queue.take_wave(idx, max, shared.cfg.park) {
-            Taken::Drained => return,
-            Taken::Empty { expired } => {
-                shared.resolve_expired(expired);
-            }
-            Taken::Wave { batch, expired, cost, modelled, stolen } => {
-                shared.resolve_expired(expired);
-                run_wave(shared, idx, batch, cost, modelled, stolen);
+    };
+    metrics.gauge_set(&format!("serve.replica.{idx}.quarantined"), 0.0);
+    match shared.queue.take_wave(max, shared.cfg.park) {
+        Taken::Drained => return false,
+        Taken::Empty { expired } => shared.resolve_expired(expired),
+        Taken::Wave { batch, expired } => {
+            shared.resolve_expired(expired);
+            run_wave(shared, idx, batch);
+        }
+    }
+    true
+}
+
+/// Counts one running dispatcher. The last one to exit closes admission
+/// and resolves whatever is still queued as [`ServeOutcome::Unrecovered`].
+/// After a normal drain that is nothing; after the last dispatcher
+/// panics, it is every queued ticket, which would otherwise wait forever.
+struct LiveDispatcher<'a>(&'a Shared);
+
+impl Drop for LiveDispatcher<'_> {
+    fn drop(&mut self) {
+        let shared = self.0;
+        if shared.live.fetch_sub(1, Ordering::AcqRel) == 1 {
+            for pending in shared.queue.close_and_take_all() {
+                let outcome = ServeOutcome::Unrecovered { attempts: 0, retries: pending.retries };
+                shared.resolve(pending, outcome);
             }
         }
     }
-}
-
-/// Cumulative scheduled CPU time of the calling thread, in seconds,
-/// from Linux CFS accounting (`/proc/thread-self/schedstat`, first
-/// field, nanoseconds). `None` off Linux or when the kernel doesn't
-/// expose schedstats; callers fall back to wall time.
-fn thread_runtime_s() -> Option<f64> {
-    let stat = std::fs::read_to_string("/proc/thread-self/schedstat").ok()?;
-    let ns: u64 = stat.split_whitespace().next()?.parse().ok()?;
-    Some(ns as f64 / 1e9)
 }
 
 /// The requests of one wave that have not reached an outcome yet. A
@@ -553,14 +493,7 @@ impl Drop for OpenWave<'_> {
     }
 }
 
-fn run_wave(
-    shared: &Shared,
-    idx: usize,
-    batch: Vec<Pending>,
-    cost: f64,
-    modelled: f64,
-    stolen: bool,
-) {
+fn run_wave(shared: &Shared, idx: usize, batch: Vec<Pending>) {
     let mut wave = OpenWave::new(shared, batch);
     let replica = &shared.replicas[idx];
     let metrics = &shared.obs.metrics;
@@ -573,19 +506,12 @@ fn run_wave(
         "replica" => idx as u64,
         "requests" => wave.open.len() as u64,
         "level" => format!("{level:?}"),
-        "stolen" => u64::from(stolen),
         "m" => m as u64,
         "n" => n as u64,
         "q" => q as u64,
     );
     metrics.counter_inc("serve.waves");
     metrics.counter_inc(&format!("serve.replica.{idx}.waves"));
-    replica.waves.fetch_add(1, Ordering::Relaxed);
-    if stolen {
-        metrics.counter_inc("serve.steals");
-        metrics.counter_inc(&format!("serve.replica.{idx}.steals"));
-        replica.steals.fetch_add(1, Ordering::Relaxed);
-    }
     metrics.observe("serve.wave_size", wave.open.len() as f64);
     metrics.gauge_set(&format!("serve.replica.{idx}.busy"), 1.0);
 
@@ -606,44 +532,15 @@ fn run_wave(
             GemmRequest::new(a, b).with_policy(policy)
         })
         .collect();
-    let cpu_started = thread_runtime_s();
-    let helpers_started = rayon::helper_cpu_time();
     let started = Instant::now();
     let results = shared.engine.execute_verified_slice(&replica.device, &requests);
     let busy = started.elapsed();
-    // Close the cost loop: this wave's measured latency against its
-    // pure-model price becomes one calibration sample for (replica,
-    // shape class), exported as a ratio gauge. The sample wants the
-    // wave's *device occupancy*, and on a host-simulated device that is
-    // the CPU time the whole wave took, not its wall: when several
-    // dispatchers share cores, wall charges this replica for time the
-    // scheduler gave its peers, inflating every concurrent measurement
-    // alike and compressing the very ratios calibration exists to
-    // expose. The dispatcher runs only its own share of each multi-block
-    // launch; the rayon pool's helpers run the rest and credit their CPU
-    // time to this thread, so the sample adds theirs to its own. Wall is
-    // the fallback where the kernel doesn't account per-thread runtime.
-    let helper_busy = (rayon::helper_cpu_time() - helpers_started).as_secs_f64();
-    let cpu_busy = match (cpu_started, thread_runtime_s()) {
-        (Some(before), Some(after)) if after > before => after - before + helper_busy,
-        _ => busy.as_secs_f64(),
-    };
-    // The host also serializes work the simulated device would spread
-    // across its SMs, so device seconds are host seconds over SM width
-    // — without that normalization every replica measures alike per
-    // engine and calibration would erase the fleet's legitimate
-    // SM-count differences along with the spec lies.
-    let device_s = cpu_busy / replica.device.config().num_sms.max(1) as f64;
-    let ratio = shared.placement.record_measured(idx, (m, n, q), device_s, modelled);
-    let (cm, cn, cq) = crate::placement::shape_class((m, n, q));
-    metrics.gauge_set(&format!("serve.replica.{idx}.cal.{cm}x{cn}x{cq}"), ratio);
     replica.busy_us.fetch_add(busy.as_micros() as u64, Ordering::Relaxed);
     metrics.gauge_set(
         &format!("serve.replica.{idx}.busy_us"),
         replica.busy_us.load(Ordering::Relaxed) as f64,
     );
     metrics.gauge_set(&format!("serve.replica.{idx}.busy"), 0.0);
-    shared.queue.finish(idx, cost);
     // Tick the ladder on this wave's own verdicts too: the dispatch-time
     // observation reads the fault EWMA from *before* the wave executed,
     // so a storm whose last faulty wave sees no successor dispatch would
@@ -716,33 +613,70 @@ mod tests {
     use super::*;
     use aabft_core::AAbftConfig;
 
-    fn pending(n: usize) -> Pending {
-        Pending {
-            a: Matrix::from_fn(n, n, |i, j| (i + j) as f64),
-            b: Matrix::from_fn(n, n, |i, j| (i * j + 1) as f64),
-            policy: ProtectionPolicy::AAbft,
-            class: DeadlineClass::Unbounded,
-            slot: Arc::new(Slot::default()),
-            submitted: Instant::now(),
-            deadline: None,
-            not_before: None,
-            retries: 0,
+    /// A server over `fleet` with no dispatcher thread: the test drives
+    /// each replica's dispatcher by hand, so nothing depends on timing.
+    fn idle_server(fleet: Vec<ReplicaSpec>) -> Server {
+        let gemm = AAbftGemm::new(AAbftConfig::builder().block_size(4).build().unwrap());
+        let shared = Shared::new(ServeConfig::default(), gemm, fleet, Obs::new_shared())
+            .expect("valid test config");
+        Server { shared: Arc::new(shared), workers: Vec::new() }
+    }
+
+    fn request(n: usize) -> ServeRequest {
+        ServeRequest::new(
+            Matrix::from_fn(n, n, |i, j| (i + j) as f64),
+            Matrix::from_fn(n, n, |i, j| (i * j + 1) as f64),
+        )
+        .with_class(DeadlineClass::Unbounded)
+    }
+
+    /// Replica `idx` pulls once; returns the replica that completed the
+    /// ticket.
+    fn served_by(server: &Server, idx: usize, ticket: &Ticket) -> usize {
+        assert!(dispatch(&server.shared, idx), "the queue is open");
+        match ticket.try_wait().expect("the one pull resolved the ticket") {
+            ServeOutcome::Completed(c) => c.replica,
+            other => panic!("a fault-free request completes, got {other:?}"),
         }
     }
 
     #[test]
-    fn unwinding_dispatcher_resolves_every_open_request_of_its_wave() {
-        let gemm = AAbftGemm::new(AAbftConfig::builder().block_size(4).build().unwrap());
-        let server =
-            Server::start(ServeConfig::default(), gemm, ReplicaSpec::defaults(1), Obs::new_shared())
-                .expect("valid test config");
-        let shared = &*server.shared;
-        let batch: Vec<Pending> = (0..3).map(|_| pending(8)).collect();
-        let tickets: Vec<Ticket> = batch.iter().map(|p| Ticket { slot: p.slot.clone() }).collect();
-        shared.accepted.fetch_add(batch.len() as u64, Ordering::Relaxed);
+    fn a_cold_twin_replica_takes_a_fresh_wave() {
+        // Twin replicas, neither has run a wave. Replica 1 asks first and
+        // takes the wave: there is no price for a tie to break.
+        let server = idle_server(ReplicaSpec::defaults(2));
+        let ticket = server.submit(request(8)).expect("admitted");
+        assert_eq!(served_by(&server, 1, &ticket), 1);
+        server.shutdown();
+    }
 
-        // The dispatcher resolves the wave's first request, then dies.
+    #[test]
+    fn the_scalar_replica_takes_a_wave_when_it_asks() {
+        let fleet = vec!["26:packed".parse().unwrap(), "6:scalar".parse().unwrap()];
+        let server = idle_server(fleet);
+        let ticket = server.submit(request(64)).expect("admitted");
+        assert_eq!(served_by(&server, 1, &ticket), 1);
+        let ticket = server.submit(request(64)).expect("admitted");
+        assert_eq!(served_by(&server, 0, &ticket), 0);
+        server.shutdown();
+    }
+
+    #[test]
+    fn unwinding_dispatcher_resolves_every_open_request_of_its_wave() {
+        // One replica, five queued tickets. Its dispatcher takes a
+        // two-request wave, resolves the first request, then dies: the
+        // wave's other request and the three still queued must all
+        // resolve, because no dispatcher is left to drain the queue.
+        let server = idle_server(ReplicaSpec::defaults(1));
+        let shared = &*server.shared;
+        let tickets: Vec<Ticket> =
+            (0..5).map(|_| server.submit(request(8)).expect("admitted")).collect();
+
         let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _live = LiveDispatcher(shared);
+            let Taken::Wave { batch, .. } = shared.queue.take_wave(2, Duration::ZERO) else {
+                panic!("five tickets are queued");
+            };
             let mut wave = OpenWave::new(shared, batch);
             let first = wave.take(0);
             let outcome =
@@ -760,9 +694,16 @@ mod tests {
                 outcome
             })
             .collect();
-        assert_eq!(outcomes, ["deadline-missed", "unrecovered", "unrecovered"]);
-        assert_eq!(server.accounting(), (3, 3));
-        assert_eq!(shared.obs.metrics.counter("serve.unrecovered"), 2);
+        let unrecovered = ["unrecovered"; 4];
+        assert_eq!(outcomes[0], "deadline-missed");
+        assert_eq!(outcomes[1..], unrecovered, "the wave's other request and the queued three");
+        assert_eq!(server.accounting(), (5, 5));
+        assert_eq!(shared.obs.metrics.counter("serve.unrecovered"), 4);
+        assert_eq!(server.queue_len(), 0);
+        assert!(
+            matches!(server.submit(request(8)), Err(Rejected::ShuttingDown)),
+            "with no dispatcher left, admission is closed"
+        );
         server.shutdown();
     }
 }

@@ -221,7 +221,7 @@ fn terminal_unrecovered_trips_the_breaker_and_probe_recovers() {
 fn storm_escalates_the_ladder_and_releases_no_sdc() {
     let cfg = BenchConfig {
         n: 16,
-        replicas: 2,
+        replicas: ReplicaSpec::defaults(2),
         rates: vec![0.0],
         requests: 60,
         storm: true,
@@ -314,9 +314,9 @@ fn invalid_configs_are_rejected_with_typed_errors() {
     assert!(msg.contains("queue_capacity"), "message names the field: {msg}");
 }
 
-/// The same request stream over a single replica and over one fast and
-/// two slow replicas yields bit-identical products — placement and steal
-/// interleaving affect *where* a GEMM runs, never its result — and the
+/// The same request stream over a single replica and over one packed and
+/// two scalar replicas yields bit-identical products — which replica
+/// pulls a wave decides *where* a GEMM runs, never its result — and the
 /// accounting closes on both fleets.
 #[test]
 fn heterogeneous_replicas_are_bit_identical_across_fleets() {
@@ -368,190 +368,7 @@ fn heterogeneous_replicas_are_bit_identical_across_fleets() {
         assert_eq!(
             got.as_slice(),
             want.as_slice(),
-            "request {i} differs across fleets — placement must not change numerics"
+            "request {i} differs across fleets — the fleet must not change numerics"
         );
     }
-}
-
-/// Costed placement puts heavy shapes on the fast replica: after a
-/// skewed stream drains, the big-GEMM waves ran on the packed 26-SM
-/// replica, not the scalar stragglers.
-#[test]
-fn costed_placement_routes_heavy_shapes_to_the_fast_replica() {
-    let fleet: Vec<ReplicaSpec> = vec![
-        "26:packed".parse().expect("valid spec"),
-        "6:scalar".parse().expect("valid spec"),
-    ];
-    let cfg = ServeConfig { queue_capacity: 64, ..ServeConfig::default() };
-    let obs = Obs::new_shared();
-    let server =
-        Server::start(cfg, small_gemm(), fleet, obs.clone()).expect("valid test config");
-    let tickets: Vec<_> = (0..6)
-        .map(|r| {
-            // 256³ sits far enough past the launch-overhead floor that
-            // the scalar replica is never the argmin, even against the
-            // packed replica's worst-case inflight (smaller shapes are
-            // overhead-dominated and the model is legitimately
-            // indifferent about them).
-            let a = Matrix::from_fn(256, 256, |i, j| ((r + i * 3 + j) as f64 * 0.07).sin());
-            let b = Matrix::from_fn(256, 256, |i, j| ((r * 5 + i + j * 2) as f64 * 0.05).cos());
-            server
-                .submit(ServeRequest::new(a, b).with_class(DeadlineClass::Unbounded))
-                .expect("admitted")
-        })
-        .collect();
-    // Wait before shutdown: the post-close drain deliberately ignores
-    // placement, so judging placement there would be meaningless.
-    for t in tickets {
-        match t.wait() {
-            ServeOutcome::Completed(c) => assert_eq!(
-                c.replica, 0,
-                "a 256³ wave belongs on the 26-SM packed replica"
-            ),
-            other => panic!("fault-free unbounded requests complete, got {other:?}"),
-        }
-    }
-    server.shutdown();
-}
-
-/// Measured-cost feedback corrects a lying `ReplicaSpec`: a fleet of two
-/// replicas with *identical claimed specs* — one honestly packed, one a
-/// scalar engine claiming packed — starts out model-indifferent, but after
-/// each replica serves one measured heavy wave, every subsequent heavy
-/// request lands on the honest replica because the liar's calibration
-/// ratio has converged away from its twin's.
-#[test]
-fn feedback_calibration_stops_routing_heavy_waves_to_the_liar() {
-    let fleet: Vec<ReplicaSpec> = vec![
-        "13:packed".parse().expect("valid spec"),
-        "13:scalar@packed".parse().expect("valid spec"),
-    ];
-    let cfg = ServeConfig {
-        queue_capacity: 64,
-        // One request per wave: each request is one measured sample, so
-        // the warm-up schedule below is exact.
-        max_wave: 1,
-        ..ServeConfig::default()
-    };
-    let obs = Obs::new_shared();
-    let server =
-        Server::start(cfg, small_gemm(), fleet, obs.clone()).expect("valid test config");
-
-    let heavy = |r: usize| {
-        let a = Matrix::from_fn(256, 256, |i, j| ((r + i * 3 + j) as f64 * 0.07).sin());
-        let b = Matrix::from_fn(256, 256, |i, j| ((r * 5 + i + j * 2) as f64 * 0.05).cos());
-        ServeRequest::new(a, b).with_class(DeadlineClass::Unbounded)
-    };
-
-    // Warm-up: two back-to-back submissions. The claimed specs price
-    // identically, so inflight accounting sends one wave to each replica
-    // and both earn a measured sample for the 256-class.
-    let first = server.submit(heavy(0)).expect("admitted");
-    let second = server.submit(heavy(1)).expect("admitted");
-    for t in [first, second] {
-        match t.wait() {
-            ServeOutcome::Completed(_) => {}
-            other => panic!("fault-free warm-up completes, got {other:?}"),
-        }
-    }
-    let placement = server.placement();
-    assert!(
-        placement.is_warm(0) && placement.is_warm(1),
-        "the symmetric warm-up leaves a measured sample on both replicas"
-    );
-
-    // Converged: serialized heavy requests (idle fleet each time) must all
-    // land on the honest replica — the liar's blended price now carries
-    // its measured ratio, which is several times its twin's.
-    for r in 2..5 {
-        match server.submit(heavy(r)).expect("admitted").wait() {
-            ServeOutcome::Completed(c) => assert_eq!(
-                c.replica, 0,
-                "calibrated placement keeps heavy waves off the lying replica"
-            ),
-            other => panic!("fault-free unbounded requests complete, got {other:?}"),
-        }
-    }
-
-    let key = (256, 256, 256);
-    assert!(
-        placement.ratio(1, key) > placement.ratio(0, key),
-        "the scalar liar's measured/modelled ratio ({:.2}) exceeds its honest twin's ({:.2})",
-        placement.ratio(1, key),
-        placement.ratio(0, key),
-    );
-    server.shutdown();
-}
-
-/// A replica's calibration state is placement history, not breaker state:
-/// tripping the breaker and recovering through a half-open probe must not
-/// reset the measured ratios the replica earned before quarantine.
-#[test]
-fn calibration_survives_the_breaker_round_trip() {
-    let cfg = ServeConfig {
-        max_retries: 0,
-        breaker: BreakerConfig { trip_after: 1, cooloff: Duration::from_millis(5) },
-        ..ServeConfig::default()
-    };
-    let obs = Obs::new_shared();
-    let gemm = small_gemm();
-    let server = Server::start(cfg, gemm, ReplicaSpec::defaults(1), obs.clone())
-        .expect("valid test config");
-
-    // Warm a 64-class ratio with a clean wave, distinct from the 16-class
-    // the doomed and probe waves will touch.
-    let a = Matrix::from_fn(64, 64, |i, j| ((i * 3 + j) as f64 * 0.07).sin());
-    let b = Matrix::from_fn(64, 64, |i, j| ((i + j * 2) as f64 * 0.05).cos());
-    let warm = server
-        .submit(ServeRequest::new(a, b).with_class(DeadlineClass::Unbounded))
-        .expect("admitted");
-    match warm.wait() {
-        ServeOutcome::Completed(_) => {}
-        other => panic!("the warm-up wave runs clean, got {other:?}"),
-    }
-    let placement = server.placement();
-    let key = (64, 64, 64);
-    let warmed = placement.ratio(0, key);
-    assert!(placement.is_warm(0), "the clean wave left a measured sample");
-
-    // Trip: a terminal Unrecovered on a 16x16 wave quarantines the replica.
-    let plan = gemm.plan(16, 16, 16);
-    server.device(0).arm_memory_fault(MemoryFaultPlan {
-        buffer: "c",
-        word: 2 * plan.cols.total + 3,
-        mask: 1 << 62,
-        after_phase: "gemm",
-    });
-    let (a, b) = operands(8);
-    let req = ServeRequest::new(a, b)
-        .with_policy(ProtectionPolicy::SelfHealing { budget: 0 })
-        .with_class(DeadlineClass::Unbounded);
-    match server.submit(req).expect("admitted").wait() {
-        ServeOutcome::Unrecovered { .. } => {}
-        other => panic!("retries are disabled, got {other:?}"),
-    }
-    assert_eq!(server.breaker_trips(0), 1);
-
-    // Recover through the half-open probe, then check the round trip left
-    // the 64-class calibration exactly where the clean wave put it.
-    let (a, b) = operands(9);
-    let req = ServeRequest::new(a, b).with_class(DeadlineClass::Unbounded);
-    match server.submit(req).expect("admitted").wait() {
-        ServeOutcome::Completed(c) => assert!(!c.healed()),
-        other => panic!("the probe wave runs clean, got {other:?}"),
-    }
-    assert!(
-        matches!(server.breaker_state(0), BreakerState::Closed),
-        "a successful probe re-closes the breaker"
-    );
-    assert_eq!(
-        placement.ratio(0, key),
-        warmed,
-        "quarantine and recovery must not touch the 64-class calibration"
-    );
-    assert!(
-        placement.calibration(0).iter().any(|(class, _)| *class == key),
-        "the warmed class is still present after the breaker round trip"
-    );
-    server.shutdown();
 }

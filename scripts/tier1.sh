@@ -126,31 +126,16 @@ $aabft serve --n 16 --bs 4 --rates 400,0 --requests 90 --queue-cap 8 \
     --json target/BENCH_serve_smoke.json \
     --assert-zero-sdc true --assert-shed true --assert-ladder true
 
-# Placement gate: one seeded skewed-shape stream (64-cubed with
-# 256-cubed every 4th request) over a heterogeneous fleet, replayed
-# through a blind round-robin baseline (one single-replica server per
-# spec, request t to server t mod N) and through the server. The server's
-# costed placement with stealing must beat round-robin GEMMs/s by 1.15x —
-# conservative vs the ~1.4-1.7x observed on the reference container, to
-# leave headroom for timing noise — with zero SDC and every request
-# completed in both rows.
-echo "==> serve placement gate (server vs round-robin baseline)"
-$aabft serve --policy-matrix true \
-    --replicas 26:packed,6:scalar,6:scalar \
-    --small-n 64 --big-n 256 --big-every 4 --requests 48 \
-    --assert-zero-sdc true --assert-policy-speedup 1.15
-
-# Mis-modelled-fleet smoke: the same matrix over a packed replica and a
-# scalar replica whose spec *claims* packed, so only measured-cost
-# calibration can tell them apart. Gates zero SDC and every request
-# completed. No wave-share floor: the liar's share of the server's waves
-# is bimodal (about 0.06 or 0.67, depending on which replica's
-# small-shape class warms first), so it does not separate calibrated
-# placement from pricing on the lying spec alone (about 0.4).
-echo "==> serve mis-modelled-fleet smoke"
-$aabft serve --policy-matrix true \
-    --replicas 13:packed,13:scalar@packed \
-    --requests 64 --wave 2 --big-every 3 --seed 7 \
+# Heterogeneous-fleet storm: the same seeded storm over a packed 26-SM
+# replica and a scalar 6-SM one. Under pull dispatch either replica takes
+# whatever wave is oldest, so both engines serve storm traffic. Gates zero
+# SDC; the bench itself asserts that every accepted request resolves to
+# exactly one terminal outcome.
+echo "==> serve heterogeneous-fleet storm (seeded)"
+$aabft serve --replicas 26:packed,6:scalar --n 16 --bs 4 --rates 400,0 \
+    --requests 90 --storm true --storm-every 1 --cooldown 150 --quiet-ticks 2 \
+    --batch-ms 30000 --interactive-ms 30000 --seed 7 \
+    --json target/BENCH_serve_het_smoke.json \
     --assert-zero-sdc true
 
 # Bench regression gate: a fresh packed measurement at n=1024 must stay

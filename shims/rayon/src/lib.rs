@@ -23,9 +23,6 @@
 //!   its original payload, after every helper has left.
 //! - The caller always works on its own job, so concurrent callers make
 //!   progress even while every helper is busy elsewhere.
-//! - The CPU time helpers spend on a call is credited to the calling
-//!   thread ([`helper_cpu_time`]), so the caller can account the whole
-//!   of the work it issued, not just its own share.
 //!
 //! Worker-count resolution, highest priority first:
 //!
@@ -49,9 +46,8 @@ use std::any::Any;
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::Duration;
 
 /// Everything callers need: `use rayon::prelude::*;`.
 pub mod prelude {
@@ -143,8 +139,6 @@ thread_local! {
     /// Set on pool helpers, and on a caller while it runs its own share:
     /// par calls from there run serially instead of fanning out again.
     static IN_WORKER: Cell<bool> = const { Cell::new(false) };
-    /// CPU nanoseconds pool helpers have spent on this thread's par calls.
-    static HELPER_CPU_NS: Cell<u64> = const { Cell::new(0) };
 }
 
 /// The hardware/environment default worker count (resolution steps 3–4).
@@ -248,44 +242,6 @@ impl ThreadPool {
     }
 }
 
-/// Total CPU time pool helpers have spent running par calls issued from
-/// the current thread, over the thread's lifetime. Not part of rayon's
-/// API: callers that price their own CPU time read it before and after a
-/// piece of work and add the difference, so the helpers' share of that
-/// work is counted too. Falls back to helper wall time off Linux.
-pub fn helper_cpu_time() -> Duration {
-    Duration::from_nanos(HELPER_CPU_NS.with(|c| c.get()))
-}
-
-/// The current thread's CPU time in nanoseconds.
-#[cfg(target_os = "linux")]
-fn thread_cpu_ns() -> u64 {
-    use std::ffi::{c_int, c_long};
-    #[repr(C)]
-    struct Timespec {
-        tv_sec: c_long,
-        tv_nsec: c_long,
-    }
-    extern "C" {
-        fn clock_gettime(clock: c_int, ts: *mut Timespec) -> c_int;
-    }
-    const CLOCK_THREAD_CPUTIME_ID: c_int = 3;
-    let mut ts = Timespec { tv_sec: 0, tv_nsec: 0 };
-    // SAFETY: `ts` is a valid, writable timespec for the duration of the
-    // call, and the clock id is a constant the kernel always supports.
-    unsafe { clock_gettime(CLOCK_THREAD_CPUTIME_ID, &mut ts) };
-    ts.tv_sec as u64 * 1_000_000_000 + ts.tv_nsec as u64
-}
-
-/// Wall-clock stand-in where per-thread CPU time is not wired up.
-#[cfg(not(target_os = "linux"))]
-fn thread_cpu_ns() -> u64 {
-    use std::sync::OnceLock;
-    use std::time::Instant;
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
-}
-
 /// One par call as the pool sees it. It lives on the caller's stack; the
 /// caller keeps it alive until every helper that joined has left.
 struct Job<'a> {
@@ -295,10 +251,6 @@ struct Job<'a> {
     /// pool lock, which also orders each helper's slot writes before the
     /// caller reads the results, so `Relaxed` suffices.
     active: AtomicUsize,
-    /// CPU nanoseconds helpers spent inside `share`; added before a
-    /// helper takes the pool lock to leave, read after the caller saw
-    /// `active` reach zero under it.
-    helper_ns: AtomicU64,
     /// Signalled (under the pool lock) when `active` drops to zero.
     drained: Condvar,
 }
@@ -352,7 +304,6 @@ impl Pool {
         let job = Job {
             share,
             active: AtomicUsize::new(0),
-            helper_ns: AtomicU64::new(0),
             drained: Condvar::new(),
         };
         let job_ref = JobRef((&job as *const Job<'_>).cast());
@@ -387,8 +338,6 @@ impl Pool {
             state = job.drained.wait(state).unwrap_or_else(PoisonError::into_inner);
         }
         drop(state);
-        let credited = job.helper_ns.load(Ordering::Relaxed);
-        HELPER_CPU_NS.with(|c| c.set(c.get() + credited));
     }
 
     /// A helper's life: park until a job is posted, join it, repeat.
@@ -412,9 +361,7 @@ impl Pool {
             job.active.fetch_add(1, Ordering::Relaxed);
             drop(state);
 
-            let started = thread_cpu_ns();
             (job.share)();
-            job.helper_ns.fetch_add(thread_cpu_ns().saturating_sub(started), Ordering::Relaxed);
 
             state = self.lock();
             if job.active.fetch_sub(1, Ordering::Relaxed) == 1 {
@@ -614,26 +561,6 @@ mod tests {
                 });
             }
         });
-    }
-
-    #[test]
-    fn helper_cpu_time_is_credited_to_the_caller() {
-        use std::sync::Barrier;
-        let pool = ThreadPoolBuilder::new().num_threads(2).build().unwrap();
-        // The barrier makes a helper run one of the two items, and the
-        // spin gives that item CPU time worth crediting.
-        let barrier = Barrier::new(2);
-        let item = |_| {
-            barrier.wait();
-            (0..200_000u64).fold(0u64, |acc, x| acc.wrapping_add(std::hint::black_box(x)))
-        };
-        let before = helper_cpu_time();
-        let _: Vec<u64> = pool.install(|| (0..2).into_par_iter().map(item).collect());
-        assert!(helper_cpu_time() > before, "the helper's item must be credited");
-        // A serial call has no helpers to credit.
-        let serial = helper_cpu_time();
-        let _: Vec<u64> = (0..1).into_par_iter().map(|i| i as u64).collect();
-        assert_eq!(helper_cpu_time(), serial);
     }
 
     #[test]
