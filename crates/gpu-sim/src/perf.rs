@@ -243,6 +243,72 @@ impl PerfModel {
         self.schedule(log, num_sms).makespan
     }
 
+    /// A copy of this model with compute and memory rates scaled by
+    /// `factor` (launch overhead is driver-side and does not scale): the
+    /// same roofline for a device with `factor`x the SMs or a faster
+    /// clean engine.
+    pub fn scaled(&self, factor: f64) -> PerfModel {
+        let factor = factor.max(1e-6);
+        PerfModel {
+            peak_dp_flops: self.peak_dp_flops * factor,
+            mem_bandwidth: self.mem_bandwidth * factor,
+            smem_bandwidth: self.smem_bandwidth * factor,
+            launch_overhead: self.launch_overhead,
+        }
+    }
+
+    /// Synthetic launch record approximating one *protected* `m×n · n×q`
+    /// multiplication request: the dominant GEMM FMAs plus the checksum
+    /// encode/check traffic, placed on `stream` so a wave of requests
+    /// overlaps in [`PerfModel::schedule`] exactly like the batch
+    /// engine's per-request streams do.
+    ///
+    /// This is a *costing* record — block geometry assumes the default
+    /// 32×32 macro tiling — for pricing work before any kernel has run;
+    /// it is never mixed into a real device log.
+    pub fn gemm_request_record(m: usize, n: usize, q: usize, stream: u64) -> LaunchRecord {
+        let (m64, n64, q64) = (m as u64, n as u64, q as u64);
+        let tile = 32u64;
+        let blocks = m64.div_ceil(tile) * q64.div_ceil(tile);
+        let stats = crate::stats::KernelStats {
+            // GEMM body plus the two checksum-row encodes and the check
+            // GEMV (one extra row/col of the same inner dimension each).
+            ffma: m64 * n64 * q64 + n64 * (m64 + q64) + n64 * q64,
+            gmem_loads: m64 * n64 + n64 * q64,
+            gmem_stores: m64 * q64,
+            blocks: blocks.max(1),
+            ..Default::default()
+        };
+        let mut rec = LaunchRecord::synthetic("gemm_request", 0.9, stats);
+        rec.stream = stream;
+        rec
+    }
+
+    /// Modelled makespan of a wave of protected GEMM requests (one
+    /// synthetic record per shape, each on its own stream) run through
+    /// the multi-stream scheduler on `num_sms` SMs. Costs from
+    /// differently-scaled models ([`PerfModel::scaled`]) share one unit,
+    /// modelled seconds. The serving layer does not price waves with it:
+    /// it dispatches by pull (DESIGN.md).
+    pub fn gemm_wave_cost(&self, shapes: &[(usize, usize, usize)], num_sms: usize) -> f64 {
+        let log: Vec<LaunchRecord> = shapes
+            .iter()
+            .enumerate()
+            .map(|(i, &(m, n, q))| {
+                let mut rec = Self::gemm_request_record(m, n, q, i as u64 + 1);
+                rec.seq = i as u64;
+                rec
+            })
+            .collect();
+        self.stream_makespan(&log, num_sms)
+    }
+
+    /// Modelled cost of a single protected GEMM request: by definition
+    /// the one-shape [`PerfModel::gemm_wave_cost`].
+    pub fn gemm_request_cost(&self, shape: (usize, usize, usize), num_sms: usize) -> f64 {
+        self.gemm_wave_cost(&[shape], num_sms)
+    }
+
     /// Modelled busy time of SM `sm` during launch `rec` (for per-SM
     /// trace tracks): the roofline at per-SM shares of the device rates,
     /// without launch overhead (driver time, not SM occupancy), clamped
@@ -433,6 +499,60 @@ mod tests {
             overlapped < sequential / 2.0,
             "overlapped {overlapped} vs sequential {sequential}"
         );
+    }
+
+    #[test]
+    fn scaled_model_speeds_up_work_but_not_overhead() {
+        let m = PerfModel::k20c();
+        let fast = m.scaled(2.0);
+        let r = rec(1_170_000_000_000, 0, 1.0);
+        let t_base = m.kernel_time(&r);
+        let t_fast = fast.kernel_time(&r);
+        // Compute halves; the launch overhead is unchanged.
+        let expected = m.launch_overhead + (t_base - m.launch_overhead) / 2.0;
+        assert!((t_fast - expected).abs() <= 1e-9 * expected, "{t_fast} vs {expected}");
+        assert_eq!(fast.launch_overhead, m.launch_overhead);
+    }
+
+    #[test]
+    fn wave_cost_monotone_in_shape_and_device() {
+        let m = PerfModel::k20c();
+        let small = m.gemm_wave_cost(&[(32, 32, 32)], 13);
+        let big = m.gemm_wave_cost(&[(1024, 1024, 1024)], 13);
+        assert!(big > 4.0 * small, "1024³ must dwarf 32³: {big} vs {small}");
+
+        // More SMs never slow a wave down, and help a multi-request wave.
+        let wave: Vec<(usize, usize, usize)> = vec![(128, 128, 128); 8];
+        let narrow = m.gemm_wave_cost(&wave, 4);
+        let wide = m.gemm_wave_cost(&wave, 52);
+        assert!(wide < narrow, "52 SMs beat 4: {wide} vs {narrow}");
+
+        // A scaled-up model is strictly cheaper on compute-bound waves.
+        let fast = m.scaled(3.0).gemm_wave_cost(&wave, 4);
+        assert!(fast < narrow, "3x rates beat 1x: {fast} vs {narrow}");
+
+        // Costs add up: a two-request wave costs at least the bigger
+        // request and at most the sequential sum.
+        let one = m.gemm_wave_cost(&[(128, 128, 128)], 13);
+        let two = m.gemm_wave_cost(&[(128, 128, 128), (128, 128, 128)], 13);
+        assert!(two >= one && two <= 2.0 * one + m.launch_overhead);
+    }
+
+    #[test]
+    fn request_cost_handle_matches_single_shape_wave() {
+        // The one-request cost is exactly the one-shape wave cost, across
+        // model scalings and SM counts.
+        let m = PerfModel::k20c();
+        for &(shape, sms) in
+            &[((64, 64, 64), 13), ((256, 256, 256), 26), ((1024, 32, 512), 6)]
+        {
+            assert_eq!(m.gemm_request_cost(shape, sms), m.gemm_wave_cost(&[shape], sms));
+            let scaled = m.scaled(0.5);
+            assert_eq!(
+                scaled.gemm_request_cost(shape, sms),
+                scaled.gemm_wave_cost(&[shape], sms)
+            );
+        }
     }
 
     #[test]

@@ -336,14 +336,30 @@ mod tests {
         };
         assert_eq!(batch[0].shape_key(), (64, 64, 64));
         assert!(matches!(q.take_wave(8, NO_PARK), Taken::Empty { .. }));
+    }
 
-        // Draining follows the same rule, then reports the queue drained.
-        q.submit(pending(256)).unwrap();
+    #[test]
+    fn closed_queue_drains_to_a_replica_that_is_not_the_argmin() {
+        // Under pull there is no argmin to wait for: a closed queue hands
+        // what it holds to whichever dispatcher asks, by the same
+        // oldest-ready rule as an open one, then reports itself drained.
+        let q = ShardedQueue::new(16);
+        let filed = Instant::now();
+        let mut heavy = pending(256);
+        heavy.submitted = filed;
+        let mut light = pending(64);
+        light.submitted = filed + Duration::from_micros(1);
+        q.submit(heavy).unwrap();
+        q.submit(light).unwrap();
         q.close();
-        let Taken::Wave { batch, .. } = q.take_wave(8, NO_PARK) else {
-            panic!("a closed queue still hands out what it holds");
-        };
-        assert_eq!(batch.len(), 1);
+        assert!(matches!(q.submit(pending(64)), Err(Rejected::ShuttingDown)));
+        for shape in [(256, 256, 256), (64, 64, 64)] {
+            let Taken::Wave { batch, .. } = q.take_wave(8, NO_PARK) else {
+                panic!("a closed queue still hands out what it holds");
+            };
+            assert_eq!(batch.len(), 1);
+            assert_eq!(batch[0].shape_key(), shape, "the older entry leads the drain");
+        }
         assert!(matches!(q.take_wave(8, NO_PARK), Taken::Drained));
         assert!(q.is_drained());
     }
